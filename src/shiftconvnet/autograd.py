@@ -71,10 +71,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def assert_finite(self, label: str = "tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise ContractViolation(f"{label} contains non-finite values")
-
     def __repr__(self):
         return (
             f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, "
@@ -352,14 +348,6 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
                 f"concat_channels spatial/batch mismatch: {tuple(first.shape)} "
                 f"vs {tuple(t.shape)}"
             )
-    if len(tensors) == 1:
-        t = tensors[0]
-
-        def bwd1(g):
-            accumulate_grad(t, g)
-
-        return graph_out(t.data.copy(), (t,), bwd1)
-
     out = np.concatenate([t.data for t in tensors], axis=1)
     sizes = [t.shape[1] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -369,23 +357,6 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
             accumulate_grad(t, g[:, lo:hi])
 
     return graph_out(out, tuple(tensors), bwd)
-
-
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    """Take channels [start, stop); the backward pass zero-pads the rest."""
-    n, c, h, w = x.shape
-    if not (0 <= start < stop <= c):
-        raise ContractViolation(f"channel slice [{start}, {stop}) outside 0..{c}")
-    out = x.data[:, start:stop].copy()
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        dx = np.zeros_like(x.data)
-        dx[:, start:stop] = g
-        accumulate_grad(x, dx)
-
-    return graph_out(out, (x,), bwd)
 
 
 def hslice_pad(x: Tensor, displacement: int) -> Tensor:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .autograd import ContractViolation, Tensor
@@ -60,14 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a synthetic stereo dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--count", type=int, default=4)
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--num-shapes", type=int, default=4)
-    p.add_argument("--disp-min", type=int, default=1)
-    p.add_argument("--disp-max", type=int, default=8)
-    p.add_argument("--background-disp", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channels", type=int, default=1)
+    synth = SynthConfig()
+    for f in fields(synth):
+        default = getattr(synth, f.name)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(default),
+                       default=default)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("train", help="run one training stage")
@@ -114,11 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    cfg = SynthConfig(width=args.width, height=args.height,
-                      num_shapes=args.num_shapes, disp_min=args.disp_min,
-                      disp_max=args.disp_max,
-                      background_disp=args.background_disp,
-                      seed=args.seed, channels=args.channels)
+    cfg = SynthConfig(**{f.name: getattr(args, f.name)
+                         for f in fields(SynthConfig)})
     samples = [gen_synthetic_pair(replace(cfg, seed=cfg.seed + i))
                for i in range(args.count)]
     ids = write_dataset(args.out, samples)

@@ -7,7 +7,7 @@ instead of silently using a default.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .data import (
@@ -16,9 +16,7 @@ from .data import (
     gen_synthetic_pair,
     load_dataset,
 )
-from .losses import LossConfig
 from .network import NetworkConfig, desk_config
-from .matching import ShiftConvConfig
 from .training import TrainConfig
 
 
@@ -120,57 +118,37 @@ def parse_config_file(path) -> ConfigMap:
     return parse_config_text(path.read_bytes().decode("utf-8"))
 
 
+def _config_from(cm: ConfigMap, base, prefix: str = ""):
+    """`base` with every field the config sets overridden.
+
+    The key is the field name after `prefix`; nested dataclasses are
+    flattened into their own field names.  The default's type picks the
+    parser, bool before int because bool is an int subclass."""
+    values = {}
+    for f in fields(base):
+        default = getattr(base, f.name)
+        if is_dataclass(default):
+            values[f.name] = _config_from(cm, default, prefix)
+            continue
+        get = (cm.get_bool if isinstance(default, bool)
+               else cm.get_int if isinstance(default, int)
+               else cm.get_float if isinstance(default, float)
+               else cm.get_int_tuple if isinstance(default, tuple)
+               else cm.get_str)
+        values[f.name] = get(prefix + f.name, default)
+    return replace(base, **values)
+
+
 def network_config_from(cm: ConfigMap) -> NetworkConfig:
-    base = desk_config()
-    shift = ShiftConvConfig(
-        maxdisp=cm.get_int("maxdisp", base.shift_cfg.maxdisp),
-        clue_filters=cm.get_int("clue_filters", base.shift_cfg.clue_filters),
-        variant=cm.get_str("variant", base.shift_cfg.variant),
-        both_directions=cm.get_bool("both_directions",
-                                    base.shift_cfg.both_directions),
-    )
-    return NetworkConfig(
-        image_channels=cm.get_int("image_channels", base.image_channels),
-        feat_channels=cm.get_int_tuple("feat_channels", base.feat_channels),
-        redir_channels=cm.get_int("redir_channels", base.redir_channels),
-        encode_channels=cm.get_int_tuple("encode_channels",
-                                         base.encode_channels),
-        decode_channels=cm.get_int_tuple("decode_channels",
-                                         base.decode_channels),
-        shift_cfg=shift,
-        cost_volume=cm.get_str("cost_volume", base.cost_volume),
-        refine_enabled=cm.get_bool("refine_enabled", base.refine_enabled),
-        small_map_scale=cm.get_int("small_map_scale", base.small_map_scale),
-    )
+    return _config_from(cm, desk_config())
 
 
 def train_config_from(cm: ConfigMap) -> TrainConfig:
-    loss_defaults = LossConfig()
-    loss = LossConfig(
-        alpha1=cm.get_float("alpha1", loss_defaults.alpha1),
-        alpha2=cm.get_float("alpha2", loss_defaults.alpha2),
-        beta2=cm.get_float("beta2", loss_defaults.beta2),
-    )
-    defaults = TrainConfig()
-    return TrainConfig(
-        base_lr=cm.get_float("base_lr", defaults.base_lr),
-        decay_start=cm.get_int("decay_start", defaults.decay_start),
-        decay_period=cm.get_int("decay_period", defaults.decay_period),
-        lr_floor=cm.get_float("lr_floor", defaults.lr_floor),
-        stage1_iters=cm.get_int("stage1_iters", defaults.stage1_iters),
-        stage2_iters=cm.get_int("stage2_iters", defaults.stage2_iters),
-        batch_size=cm.get_int("batch_size", defaults.batch_size),
-        seed=cm.get_int("seed", defaults.seed),
-        log_interval=cm.get_int("log_interval", defaults.log_interval),
-        checkpoint_interval=cm.get_int("checkpoint_interval",
-                                       defaults.checkpoint_interval),
-        loss=loss,
-    )
+    return _config_from(cm, TrainConfig())
 
 
-_SYNTH_KEYS = ("synth_count", "synth_width", "synth_height",
-               "synth_num_shapes", "synth_disp_min", "synth_disp_max",
-               "synth_background_disp", "synth_seed", "synth_channels")
+_SYNTH_KEYS = ("synth_count",) + tuple(f"synth_{f.name}"
+                                       for f in fields(SynthConfig))
 
 DATA_KEYS = ("data_root",) + _SYNTH_KEYS
 
@@ -180,16 +158,7 @@ def load_samples_from(cm: ConfigMap) -> list:
     root = cm.get_str("data_root")
     synth_given = [k for k in _SYNTH_KEYS if cm.has(k)]
     count = cm.get_int("synth_count", 4)
-    synth = SynthConfig(
-        width=cm.get_int("synth_width", 128),
-        height=cm.get_int("synth_height", 64),
-        num_shapes=cm.get_int("synth_num_shapes", 4),
-        disp_min=cm.get_int("synth_disp_min", 1),
-        disp_max=cm.get_int("synth_disp_max", 8),
-        background_disp=cm.get_int("synth_background_disp", 2),
-        seed=cm.get_int("synth_seed", 0),
-        channels=cm.get_int("synth_channels", 1),
-    )
+    synth = _config_from(cm, SynthConfig(), "synth_")
     if root is not None:
         if synth_given:
             raise CodecError(

@@ -11,6 +11,7 @@ the image pair around the upsampled small map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,23 +149,37 @@ def config_from_scalars(values: dict[str, float]) -> NetworkConfig:
         raise ContractViolation(
             f"config scalars missing keys: {sorted(missing)}"
         )
-    variant = {v: k for k, v in _VARIANT_CODE.items()}[values["variant"]]
-    cost = {v: k for k, v in _COST_CODE.items()}[values["cost_volume"]]
+
+    def whole(key):
+        v = values[key]
+        if not (math.isfinite(v) and v == int(v)):
+            raise ContractViolation(f"config scalar {key} = {v!r} is not an integer")
+        return int(v)
+
+    def named(key, codes):
+        names = {code: name for name, code in codes.items()}
+        if values[key] not in names:
+            raise ContractViolation(
+                f"config scalar {key} = {values[key]!r} is not one of "
+                f"{sorted(names)}"
+            )
+        return names[values[key]]
+
     return NetworkConfig(
-        image_channels=int(values["image_channels"]),
-        feat_channels=tuple(int(values[f"feat{i}"]) for i in range(1, 5)),
-        redir_channels=int(values["redir_channels"]),
-        encode_channels=tuple(int(values[f"enc{i}"]) for i in range(5, 9)),
-        decode_channels=tuple(int(values[f"dec{i}"]) for i in range(1, 7)),
+        image_channels=whole("image_channels"),
+        feat_channels=tuple(whole(f"feat{i}") for i in range(1, 5)),
+        redir_channels=whole("redir_channels"),
+        encode_channels=tuple(whole(f"enc{i}") for i in range(5, 9)),
+        decode_channels=tuple(whole(f"dec{i}") for i in range(1, 7)),
         shift_cfg=ShiftConvConfig(
-            maxdisp=int(values["maxdisp"]),
-            clue_filters=int(values["clue_filters"]),
-            variant=variant,
-            both_directions=bool(values["both_directions"]),
+            maxdisp=whole("maxdisp"),
+            clue_filters=whole("clue_filters"),
+            variant=named("variant", _VARIANT_CODE),
+            both_directions=bool(whole("both_directions")),
         ),
-        cost_volume=cost,
-        refine_enabled=bool(values["refine_enabled"]),
-        small_map_scale=int(values["small_map_scale"]),
+        cost_volume=named("cost_volume", _COST_CODE),
+        refine_enabled=bool(whole("refine_enabled")),
+        small_map_scale=whole("small_map_scale"),
     )
 
 

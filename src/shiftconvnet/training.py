@@ -10,6 +10,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from contextlib import contextmanager
@@ -181,10 +182,13 @@ def read_checkpoint_blob(data: bytes):
         head, pos = _take(data, pos, 4, "record name length")
         (name_len,) = struct.unpack("<I", head)
         raw_name, pos = _take(data, pos, name_len, "record name")
-        name = raw_name.decode("utf-8")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CodecError("record name is not UTF-8", pos - name_len) from None
         head, pos = _take(data, pos, 16, f"extents of {name!r}")
         shape = struct.unpack("<4I", head)
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: no int64 wrap-around
         payload, pos = _take(data, pos, count * 4, f"values of {name!r}")
         records[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     return iteration, stage, records
@@ -284,6 +288,33 @@ def _stack_batch(samples, idx):
     return left, right, gt
 
 
+def _forward_backward(model: ShiftConvNet, left: np.ndarray,
+                      right: np.ndarray, gt: np.ndarray, stage: int,
+                      decay_weights, loss_cfg: LossConfig, it: int):
+    """One step's forward, loss and backward into the parameter gradients.
+
+    Returns (loss value, predicted disparity array).  The graph lives only
+    in this frame, so it is freed before the next step builds its own."""
+    model.zero_grad()
+    out = model.forward(Tensor(left), Tensor(right), refine=(stage == 2))
+    if stage == 1:
+        loss = loss1(out.coarse_disp, gt, decay_weights, loss_cfg)
+        pred = out.coarse_disp.data[:, 0]
+    else:
+        scale_div = model.config.small_map_scale
+        h, w = gt.shape[1:]
+        gt_small = resize_nearest(gt, h // scale_div, w // scale_div,
+                                  is_disparity=True)
+        loss = loss2(out.refined_disp, gt, out.small_disp, gt_small,
+                     decay_weights, loss_cfg)
+        pred = out.refined_disp.data[:, 0]
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        raise NumericalError(f"non-finite loss at iteration {it}")
+    backward(loss)
+    return loss_value, pred
+
+
 def train_stage(model: ShiftConvNet, optimizer: Adam, samples,
                 cfg: TrainConfig, stage: int, iterations: int,
                 start_iteration: int = 0, log=None,
@@ -302,34 +333,15 @@ def train_stage(model: ShiftConvNet, optimizer: Adam, samples,
 
     active = stage_param_names(model, stage)
     decay_weights = [model.params[n] for n in active if n.endswith(".w")]
-    scale_div = model.config.small_map_scale
     history = []
 
     for step in range(iterations):
         it = start_iteration + step
         lr = lr_schedule(it, cfg)
         idx = batch_indices(len(samples), cfg.batch_size, cfg.seed, it)
-        left_np, right_np, gt = _stack_batch(samples, idx)
-        left = Tensor(left_np)
-        right = Tensor(right_np)
-
-        model.zero_grad()
-        out = model.forward(left, right, refine=(stage == 2))
-        if stage == 1:
-            loss = loss1(out.coarse_disp, gt, decay_weights, cfg.loss)
-            pred = out.coarse_disp.data[:, 0]
-        else:
-            h, w = gt.shape[1:]
-            gt_small = resize_nearest(gt, h // scale_div, w // scale_div,
-                                      is_disparity=True)
-            loss = loss2(out.refined_disp, gt, out.small_disp, gt_small,
-                         decay_weights, cfg.loss)
-            pred = out.refined_disp.data[:, 0]
-
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise NumericalError(f"non-finite loss at iteration {it}")
-        backward(loss)
+        left, right, gt = _stack_batch(samples, idx)
+        loss_value, pred = _forward_backward(model, left, right, gt, stage,
+                                             decay_weights, cfg.loss, it)
         optimizer.step(lr, active)
 
         batch_epe = epe(pred, gt)
@@ -362,6 +374,17 @@ def frozen_params(model: ShiftConvNet):
             t.requires_grad = flags[n]
 
 
+def render_table(header, rows, width: int | None = None) -> str:
+    """A header and rows of string cells as text, each cell right-aligned
+    to `width` and cells two spaces apart, or as newline-terminated CSV
+    when no width is given."""
+    lines = [header, *rows]
+    if width is None:
+        return "".join(",".join(cells) + "\n" for cells in lines)
+    return "\n".join("  ".join(f"{c:>{width}}" for c in cells)
+                     for cells in lines)
+
+
 @dataclass
 class EvalReport:
     rows: list
@@ -371,46 +394,30 @@ class EvalReport:
     refined_mean_d1: float | None
     mean_forward_seconds: float
 
+    def _table(self, d1_name: str, places: int) -> tuple:
+        """Header and rows, one per sample then the mean: EPE with `places`
+        decimals, D1 in percent with two fewer, and the refined columns
+        only when every sample has them."""
+        prefixes = [""] if self.refined_mean_epe is None else ["", "refined_"]
+        header = ["sample"] + [p + n for p in prefixes for n in ("epe", d1_name)]
+        mean = {"sample": "mean", "epe": self.mean_epe, "d1": self.mean_d1,
+                "refined_epe": self.refined_mean_epe,
+                "refined_d1": self.refined_mean_d1}
+        rows = [[r["sample"]] + [cell for p in prefixes for cell in (
+                    f"{r[p + 'epe']:.{places}f}",
+                    f"{100 * r[p + 'd1']:.{places - 2}f}")]
+                for r in self.rows + [mean]]
+        return header, rows
+
     def text_table(self) -> str:
-        refined = self.refined_mean_epe is not None
-        header = ["sample", "epe", "d1%"]
-        if refined:
-            header += ["refined_epe", "refined_d1%"]
-        lines = ["  ".join(f"{h:>12}" for h in header)]
-        for row in self.rows:
-            cells = [row["sample"], f"{row['epe']:.4f}",
-                     f"{100 * row['d1']:.2f}"]
-            if refined:
-                cells += [f"{row['refined_epe']:.4f}",
-                          f"{100 * row['refined_d1']:.2f}"]
-            lines.append("  ".join(f"{c:>12}" for c in cells))
-        cells = ["mean", f"{self.mean_epe:.4f}", f"{100 * self.mean_d1:.2f}"]
-        if refined:
-            cells += [f"{self.refined_mean_epe:.4f}",
-                      f"{100 * self.refined_mean_d1:.2f}"]
-        lines.append("  ".join(f"{c:>12}" for c in cells))
-        lines.append(f"mean forward time: {self.mean_forward_seconds:.4f} s")
-        return "\n".join(lines)
+        header, rows = self._table("d1%", 4)
+        return (render_table(header, rows, width=12)
+                + f"\nmean forward time: {self.mean_forward_seconds:.4f} s")
 
     def csv(self) -> str:
-        refined = self.refined_mean_epe is not None
-        header = "sample,epe,d1_percent"
-        if refined:
-            header += ",refined_epe,refined_d1_percent"
-        lines = [header]
-        for row in self.rows:
-            line = f"{row['sample']},{row['epe']:.6f},{100 * row['d1']:.4f}"
-            if refined:
-                line += (f",{row['refined_epe']:.6f},"
-                         f"{100 * row['refined_d1']:.4f}")
-            lines.append(line)
-        line = f"mean,{self.mean_epe:.6f},{100 * self.mean_d1:.4f}"
-        if refined:
-            line += (f",{self.refined_mean_epe:.6f},"
-                     f"{100 * self.refined_mean_d1:.4f}")
-        lines.append(line)
-        lines.append(f"mean_forward_seconds,{self.mean_forward_seconds:.6f},")
-        return "\n".join(lines) + "\n"
+        header, rows = self._table("d1_percent", 6)
+        footer = ["mean_forward_seconds", f"{self.mean_forward_seconds:.6f}", ""]
+        return render_table(header, rows + [footer])
 
 
 def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
@@ -495,24 +502,21 @@ class AblationReport:
     seed: int
     iterations: int
 
+    def _rows(self, places: int, no_filters: str) -> list:
+        return [[r.cost_volume,
+                 no_filters if r.filters is None else str(r.filters),
+                 f"{r.mean_forward_seconds:.{places}f}", f"{r.epe:.{places}f}"]
+                for r in self.rows]
+
     def text_table(self) -> str:
-        lines = [f"seed={self.seed} iterations={self.iterations}",
-                 "  ".join(f"{h:>24}" for h in
-                           ("cost volume", "filters", "time (s)", "epe"))]
-        for r in self.rows:
-            filters = "-" if r.filters is None else str(r.filters)
-            lines.append("  ".join(f"{c:>24}" for c in (
-                r.cost_volume, filters,
-                f"{r.mean_forward_seconds:.4f}", f"{r.epe:.4f}")))
-        return "\n".join(lines)
+        return (f"seed={self.seed} iterations={self.iterations}\n"
+                + render_table(("cost volume", "filters", "time (s)", "epe"),
+                               self._rows(4, "-"), width=24))
 
     def csv(self) -> str:
-        lines = ["cost_volume,filters,mean_forward_seconds,epe"]
-        for r in self.rows:
-            filters = "" if r.filters is None else str(r.filters)
-            lines.append(f"{r.cost_volume},{filters},"
-                         f"{r.mean_forward_seconds:.6f},{r.epe:.6f}")
-        return "\n".join(lines) + "\n"
+        return render_table(
+            ("cost_volume", "filters", "mean_forward_seconds", "epe"),
+            self._rows(6, ""))
 
 
 def ablation_suite(samples, base_cfg: NetworkConfig, train_cfg: TrainConfig,

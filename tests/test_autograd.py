@@ -20,7 +20,6 @@ from shiftconvnet.autograd import (
     mul,
     scalar,
     scale,
-    slice_channels,
     sub,
     sum_all,
     transposed_conv2d,
@@ -327,8 +326,8 @@ def test_concat_slice_roundtrip():
     b = Tensor(rand((1, 3, 3, 4), seed=21), requires_grad=True)
     cat = concat_channels([a, b])
     assert cat.shape == (1, 5, 3, 4)
-    np.testing.assert_array_equal(slice_channels(cat, 0, 2).data, a.data)
-    np.testing.assert_array_equal(slice_channels(cat, 2, 5).data, b.data)
+    np.testing.assert_array_equal(cat.data[:, 0:2], a.data)
+    np.testing.assert_array_equal(cat.data[:, 2:5], b.data)
 
 
 def test_concat_routes_gradients():
@@ -343,11 +342,6 @@ def test_concat_routes_gradients():
 def test_concat_shape_mismatch():
     with pytest.raises(ContractViolation, match="mismatch"):
         concat_channels([Tensor(rand((1, 1, 2, 2))), Tensor(rand((1, 1, 2, 3)))])
-
-
-def test_slice_bounds_checked():
-    with pytest.raises(ContractViolation):
-        slice_channels(Tensor(rand((1, 2, 2, 2))), 0, 3)
 
 
 def test_hslice_pad_examples():

@@ -1,6 +1,8 @@
 """Config-file parsing and the command-line interface (exit codes, files)."""
 
 import re
+import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -25,8 +27,14 @@ from shiftconvnet.data import (
     write_pnm,
 )
 from shiftconvnet.matching import CONCAT_THEN_CONV
-from shiftconvnet.network import CORRELATION, desk_config
-from shiftconvnet.training import load_checkpoint
+from shiftconvnet.network import (
+    CORRELATION,
+    NetworkConfig,
+    ShiftConvNet,
+    desk_config,
+    tiny_config,
+)
+from shiftconvnet.training import TrainConfig, checkpoint_bytes, load_checkpoint
 
 TINY_LINES = {
     "feat_channels": "2, 2, 2, 2",
@@ -187,11 +195,34 @@ def test_load_samples_rejects_two_sources(tmp_path):
         load_samples_from(cm)
 
 
+def flat_field_names(config) -> list:
+    """Field names of a config dataclass, nested dataclasses flattened."""
+    names = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        names += flat_field_names(value) if is_dataclass(value) else [f.name]
+    return names
+
+
+def test_config_keys_are_the_dataclass_fields():
+    cm = parse_config_text("")
+    network_config_from(cm)
+    train_config_from(cm)
+    load_samples_from(cm)
+    expected = (set(flat_field_names(NetworkConfig()))
+                | set(flat_field_names(TrainConfig()))
+                | {f"synth_{n}" for n in flat_field_names(SynthConfig())}
+                | {"synth_count", "data_root"})
+    assert cm._used == expected
+
+
 def test_data_keys_catalog_matches_loader():
     values = {"synth_count": 1, "synth_width": 32, "synth_height": 16,
               "synth_num_shapes": 1, "synth_disp_min": 1, "synth_disp_max": 2,
               "synth_background_disp": 1, "synth_seed": 3, "synth_channels": 1}
     assert set(values) | {"data_root"} == set(DATA_KEYS)
+    assert DATA_KEYS == ("data_root", "synth_count") + tuple(
+        f"synth_{n}" for n in flat_field_names(SynthConfig()))
     cm = parse_config_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     load_samples_from(cm)
     cm.ensure_consumed()  # loader must consume every synth key
@@ -229,6 +260,18 @@ def test_cli_gen_writes_loadable_dataset(tmp_path, capsys):
     assert len(samples) == 2
     assert samples[0].left.shape == (1, 64, 64)
     assert "wrote 2 samples" in capsys.readouterr().out
+
+
+def test_cli_gen_defaults_are_synth_config_defaults(tmp_path, capsys):
+    assert main(["gen", "--out", str(tmp_path / "cli"), "--count", "1"]) == 0
+    write_dataset(tmp_path / "lib", [gen_synthetic_pair(SynthConfig())])
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    assert files(tmp_path / "cli") == files(tmp_path / "lib")
+    capsys.readouterr()
 
 
 def test_cli_train_eval_infer_bench_pipeline(tmp_path, capsys):
@@ -334,6 +377,34 @@ def test_cli_data_problems_exit_2(tmp_path, capsys):
     assert main(["eval", "--ckpt", str(tmp_path / "no.scnc"),
                  "--data", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+CKPT_HEADER = b"SCNC" + struct.pack("<3I", 1, 0, 1)
+
+
+def with_cfg_scalar(key, value):
+    """A valid checkpoint with the float32 of record cfg.<key> replaced."""
+    blob = checkpoint_bytes(ShiftConvNet(tiny_config(), seed=0), None, 0, 1)
+    name = f"cfg.{key}".encode()
+    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name) + 16
+    return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+
+
+@pytest.mark.parametrize("make_blob", [
+    pytest.param(lambda: CKPT_HEADER + struct.pack("<I", 2) + b"\xff\xfe",
+                 id="name-not-utf8"),
+    pytest.param(lambda: CKPT_HEADER + struct.pack("<I", 1) + b"x"
+                 + struct.pack("<4I", *[65536] * 4), id="extents-overflow"),
+    pytest.param(lambda: with_cfg_scalar("variant", 2.0),
+                 id="unknown-variant-code"),
+    pytest.param(lambda: with_cfg_scalar("maxdisp", float("nan")),
+                 id="nan-maxdisp"),
+])
+def test_cli_corrupt_checkpoint_exits_2(tmp_path, capsys, make_blob):
+    ckpt = tmp_path / "corrupt.scnc"
+    ckpt.write_bytes(make_blob())
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_infer_mismatched_pair_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -422,6 +423,25 @@ def test_train_stage_non_finite_loss_raises():
     with pytest.raises(NumericalError, match="iteration 0"):
         train_stage(model, Adam(model.params), samples, TrainConfig(),
                     stage=1, iterations=1)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_train_stage_frees_each_graph_before_the_next_forward(stage):
+    model = ShiftConvNet(tiny_config(), seed=10)
+    forward = model.forward
+    earlier = []   # weakrefs to the outputs of earlier steps
+    alive_at_forward = []
+
+    def tracked_forward(*args, **kwargs):
+        alive_at_forward.append(any(ref() is not None for ref in earlier))
+        out = forward(*args, **kwargs)
+        earlier.append(weakref.ref(out.coarse_disp))
+        return out
+
+    model.forward = tracked_forward
+    train_stage(model, Adam(model.params), tiny_samples(), TrainConfig(),
+                stage=stage, iterations=3)
+    assert alive_at_forward == [False, False, False]
 
 
 def test_resume_replays_the_straight_run_bit_for_bit(tmp_path):
