@@ -15,6 +15,18 @@ Convolution uses the cross-correlation convention (no kernel flip) with
 zero padding.  The transposed convolution is defined as the adjoint of the
 corresponding strided convolution, so `<conv(x), y> == <x, tconv(y)>` for
 matched weights.
+
+Stride-1 convolutions work on a flat-offset layout.  The input is
+zero-padded once into an (N, C, Hp*Wp + kW - 1) buffer whose rows are
+flattened, with Hp, Wp the padded extents.  Computed over the padded width,
+output pixel m = y*Wp + x reads tap (i, j) at flat index m + i*Wp + j, so
+each tap's operand for all oH*Wp pixels is one contiguous run starting at
+offset i*Wp + j: a view that goes straight to one GEMM per tap, where
+slicing the (N, C, H, W) map would copy it.  The last kW - 1 columns of
+each output row straddle a row boundary; the forward crops them once, and
+the gradients zero them in dy first.  Strided convolutions (the transposed
+convolution's case) keep per-tap slices, because a flat offset cannot step
+s rows at once.
 """
 
 from __future__ import annotations
@@ -148,12 +160,54 @@ def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
+def _flat_pad(x: np.ndarray, p: int, kw: int) -> np.ndarray:
+    """Zero-pad by p and flatten rows: (N, C, H, W) -> (N, C, Hp*Wp + kW - 1).
+
+    The kW - 1 trailing zeros let the last tap's run end inside the buffer.
+    """
+    n, c, h, wd = x.shape
+    hp, wp = h + 2 * p, wd + 2 * p
+    xp = np.zeros((n, c, hp * wp + kw - 1), dtype=x.dtype)
+    xp[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, p : p + h, p : p + wd] = x
+    return xp
+
+
+def _flat_grid(dy: np.ndarray, wp: int) -> np.ndarray:
+    """Zero-fill (N, O, oH, oW) into the padded-width grid (N, O, oH*Wp)."""
+    n, oc, oh, ow = dy.shape
+    grid = np.zeros((n, oc, oh, wp), dtype=dy.dtype)
+    grid[..., :ow] = dy
+    return grid.reshape(n, oc, oh * wp)
+
+
+def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b; a one-term sum is a broadcast product, exact and faster."""
+    if a.shape[-1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
 def _conv_core(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """out[n,o,y,x] = sum_{c,i,j} w[o,c,i,j] * xpad[n,c,y*s+i,x*s+j]."""
+    """out[n,o,y,x] = sum_{c,i,j} w[o,c,i,j] * xpad[n,c,y*s+i,x*s+j].
+
+    With stride 1 the result is a cropped view of the padded-width grid.
+    """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
+    if stride == 1:
+        wp = wd + 2 * padding
+        m = oh * wp
+        xp = _flat_pad(x, padding, kw)
+        acc = _tap_product(w[:, :, 0, 0], xp[:, :, :m], np.empty((n, oc, m), x.dtype))
+        prod = np.empty_like(acc)
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    off = i * wp + j
+                    acc += _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod)
+        return acc.reshape(n, oc, oh, wp)[..., :ow]
     xp = _pad_hw(x, padding)
     acc = np.zeros((oc, n, oh, ow), dtype=x.dtype)
     for i in range(kh):
@@ -170,6 +224,18 @@ def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     n, oc, oh, ow = dy.shape
     _, ic, kh, kw = w.shape
     h, wd = in_hw
+    if stride == 1:
+        hp, wp = h + 2 * padding, wd + 2 * padding
+        m = oh * wp
+        dyf = _flat_grid(dy, wp)
+        dxp = np.zeros((n, ic, hp * wp + kw - 1), dtype=dy.dtype)
+        prod = np.empty((n, ic, m), dtype=dy.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                dxp[:, :, off : off + m] += _tap_product(w[:, :, i, j].T, dyf, prod)
+        dxp = dxp[:, :, : hp * wp].reshape(n, ic, hp, wp)
+        return np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + wd])
     dxp = np.zeros((n, ic, h + 2 * padding, wd + 2 * padding), dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -187,8 +253,19 @@ def _conv_weight_grad(x: np.ndarray, dy: np.ndarray, stride: int, padding: int,
     kh, kw = kshape
     n, c, h, wd = x.shape
     _, oc, oh, ow = dy.shape
-    xp = _pad_hw(x, padding)
     dw = np.zeros((oc, c, kh, kw), dtype=x.dtype)
+    if stride == 1:
+        wp = wd + 2 * padding
+        m = oh * wp
+        xp = _flat_pad(x, padding, kw)
+        dyf = _flat_grid(dy, wp)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                prod = np.matmul(dyf, xp[:, :, off : off + m].transpose(0, 2, 1))
+                dw[:, :, i, j] = prod.sum(axis=0)
+        return dw
+    xp = _pad_hw(x, padding)
     for i in range(kh):
         for j in range(kw):
             sl = xp[:, :, i : i + stride * (oh - 1) + 1 : stride,
@@ -238,8 +315,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     _check_bias(b, oc, "conv2d")
 
     out = _conv_core(x.data, w.data, stride, padding)
-    if b is not None:
-        out = out + b.data
+    # the bias add also packs the stride-1 core's cropped view
+    out = np.ascontiguousarray(out) if b is None else out + b.data
 
     parents = (x, w) if b is None else (x, w, b)
 
@@ -301,23 +378,26 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2.
 
-    Requires even spatial extents.  The backward pass routes the gradient
-    to the argmax position, first maximum in row-major window order on ties.
+    Requires even spatial extents.  The output is the first maximum of each
+    window in row-major order (NaN propagates), and the backward pass
+    routes the gradient to that position.
     """
     n, c, h, w = x.shape
     if h % 2 != 0 or w % 2 != 0:
         raise ContractViolation(f"maxpool2d requires even extents; got {h}x{w}")
     oh, ow = h // 2, w // 2
-    # (N, C, oh, ow, 4) with the window flattened in row-major order, so
-    # argmax picks the first maximum per the tie-break contract.
-    win = x.data.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, oh, ow, 4)
-    am = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, am[..., None], axis=-1)[..., 0]
+    v = x.data.reshape(n, c, oh, 2, ow, 2)
+    # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so
+    # each later candidate goes first to keep the earlier one.
+    out = np.maximum(np.maximum(v[:, :, :, 1, :, 1], v[:, :, :, 1, :, 0]),
+                     np.maximum(v[:, :, :, 0, :, 1], v[:, :, :, 0, :, 0]))
+    am = None
+    if x.requires_grad:
+        # window flattened in row-major order: argmax picks the first maximum
+        win = v.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
+        am = np.argmax(win, axis=-1).astype(np.uint8)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
         dwin = np.zeros((n, c, oh, ow, 4), dtype=g.dtype)
         np.put_along_axis(dwin, am[..., None], g[..., None], axis=-1)
         dx = dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
@@ -326,13 +406,17 @@ def maxpool2d(x: Tensor) -> Tensor:
     return graph_out(out, (x,), bwd)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    """x for x >= 0 else slope*x; the derivative at 0 is defined as 1."""
-    pos = x.data >= 0
-    out = np.where(pos, x.data, x.data * x.dtype.type(slope))
+LEAKY_SLOPE = 0.1
+
+
+def leaky_relu(x: Tensor) -> Tensor:
+    """x for x >= 0 else LEAKY_SLOPE*x; the derivative at 0 is defined as 1."""
+    slope = x.dtype.type(LEAKY_SLOPE)
+    # max(x, slope*x) selects x exactly when x >= 0, because 0 <= slope <= 1
+    out = np.maximum(x.data, x.data * slope)
 
     def bwd(g):
-        accumulate_grad(x, np.where(pos, g, g * g.dtype.type(slope)))
+        accumulate_grad(x, np.where(x.data >= 0, g, g * slope))
 
     return graph_out(out, (x,), bwd)
 

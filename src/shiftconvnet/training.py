@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -420,10 +420,46 @@ class EvalReport:
         return render_table(header, rows + [footer])
 
 
+def _predict(model: ShiftConvNet, sample: StereoSample, refine: bool):
+    """The coarse (H, W) map and the refined one, or None, for one sample."""
+    out = model.forward(Tensor(sample.left[None]), Tensor(sample.right[None]),
+                        refine=refine)
+    refined = None
+    if out.refined_disp is not None:
+        refined = out.refined_disp.data[0, 0]
+    return out.coarse_disp.data[0, 0], refined
+
+
+def forward_seconds(forwards, warmup: int, rounds: int,
+                    min_seconds: float = 0.0) -> list:
+    """Mean wall time of each callable in `forwards`, called with the round
+    index.
+
+    Every round calls each callable once, in turn, so a slow spell of the
+    host lands on all of them alike.  After `warmup` untimed rounds, timed
+    rounds run until there are at least `rounds` of them and `min_seconds`
+    have passed.  The slowest tenth of each callable's times is left out of
+    its mean, so that one stall of the host does not decide the figure."""
+    for i in range(warmup):
+        for f in forwards:
+            f(i)
+    times = [[] for _ in forwards]
+    start = time.perf_counter()
+    i = 0
+    while i < rounds or time.perf_counter() - start < min_seconds:
+        for f, ts in zip(forwards, times):
+            t0 = time.perf_counter()
+            f(i)
+            ts.append(time.perf_counter() - t0)
+        i += 1
+    return [float(np.mean(np.sort(ts)[:len(ts) - len(ts) // 10]))
+            for ts in times]
+
+
 def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
              warmup: int = 2, timed_forwards: int = 10,
              predict=None) -> EvalReport:
-    """Per-sample EPE/D1 plus mean forward wall time.
+    """Per-sample EPE/D1 plus mean forward wall time (see `forward_seconds`).
 
     `predict(sample) -> (coarse (H,W), refined (H,W) or None)` can be
     injected for metric plumbing tests; the default runs the model.  The
@@ -433,17 +469,8 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
         raise ContractViolation("evaluation needs at least one sample")
     do_refine = model.config.refine_enabled if refine is None else refine
 
-    def model_predict(sample: StereoSample):
-        left = Tensor(sample.left[None])
-        right = Tensor(sample.right[None])
-        out = model.forward(left, right, refine=do_refine)
-        coarse = out.coarse_disp.data[0, 0]
-        refined = None
-        if out.refined_disp is not None:
-            refined = out.refined_disp.data[0, 0]
-        return coarse, refined
-
-    fn = predict if predict is not None else model_predict
+    fn = predict if predict is not None else (
+        lambda sample: _predict(model, sample, do_refine))
 
     with frozen_params(model):
         rows = []
@@ -460,13 +487,8 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
                 row["refined_d1"] = d1_rate(refined, sample.gt_disp)
             rows.append(row)
 
-        for i in range(warmup):
-            fn(samples[i % len(samples)])
-        seconds = []
-        for i in range(timed_forwards):
-            t0 = time.perf_counter()
-            fn(samples[i % len(samples)])
-            seconds.append(time.perf_counter() - t0)
+        [seconds] = forward_seconds(
+            [lambda i: fn(samples[i % len(samples)])], warmup, timed_forwards)
 
     report = EvalReport(
         rows=rows,
@@ -476,7 +498,7 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
                           if have_refined else None),
         refined_mean_d1=(float(np.mean([r["refined_d1"] for r in rows]))
                          if have_refined else None),
-        mean_forward_seconds=float(np.mean(seconds)),
+        mean_forward_seconds=seconds,
     )
     return report
 
@@ -486,6 +508,12 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
 # ---------------------------------------------------------------------------
 
 ABLATION_FILTER_COUNTS = (8, 12, 16)
+# Timing of the ablation cells.  A budget of seconds, not only a count of
+# rounds, keeps each cell's sample large when a forward is short, so one
+# stall of the host moves its trimmed mean little.
+ABLATION_WARMUP_ROUNDS = 2
+ABLATION_TIMED_ROUNDS = 10
+ABLATION_TIMING_SECONDS = 2.0
 
 
 @dataclass
@@ -525,7 +553,9 @@ def ablation_suite(samples, base_cfg: NetworkConfig, train_cfg: TrainConfig,
 
     Rows: both shift-conv variants at 8/12/16 matching-clue filters, plus
     the fixed correlation cost volume; every cell starts from the same
-    initialization seed and trains stage 1 for the same iteration count."""
+    initialization seed and trains stage 1 for the same iteration count.
+    The trained cells are timed together, in interleaved rounds, for at
+    least ABLATION_TIMED_ROUNDS rounds and ABLATION_TIMING_SECONDS."""
     iters = train_cfg.stage1_iters if iterations is None else iterations
     cells = []
     for variant in (CONV_THEN_CONCAT, CONCAT_THEN_CONV):
@@ -541,7 +571,7 @@ def ablation_suite(samples, base_cfg: NetworkConfig, train_cfg: TrainConfig,
                                   cost_volume="shiftconv")))
     cells.append((CORRELATION, None, replace(base_cfg, cost_volume=CORRELATION)))
 
-    rows = []
+    models = []
     for label, filters, cfg in cells:
         if log is not None:
             log(f"ablation cell: {label} filters={filters}")
@@ -549,10 +579,21 @@ def ablation_suite(samples, base_cfg: NetworkConfig, train_cfg: TrainConfig,
         optimizer = Adam(model.params)
         train_stage(model, optimizer, samples, train_cfg, stage=1,
                     iterations=iters, log=None)
-        report = evaluate(model, samples, refine=False)
-        rows.append(AblationRow(cost_volume=label, filters=filters,
-                                mean_forward_seconds=report.mean_forward_seconds,
-                                epe=report.mean_epe))
+        models.append(model)
+
+    with ExitStack() as frozen:
+        for model in models:
+            frozen.enter_context(frozen_params(model))
+        epes = [float(np.mean([epe(_predict(model, s, False)[0], s.gt_disp)
+                               for s in samples])) for model in models]
+        seconds = forward_seconds(
+            [lambda i, m=model: _predict(m, samples[i % len(samples)], False)
+             for model in models],
+            ABLATION_WARMUP_ROUNDS, ABLATION_TIMED_ROUNDS,
+            ABLATION_TIMING_SECONDS)
+    rows = [AblationRow(cost_volume=label, filters=filters,
+                        mean_forward_seconds=t, epe=e)
+            for (label, filters, _), t, e in zip(cells, seconds, epes)]
     return AblationReport(rows=rows, seed=train_cfg.seed, iterations=iters)
 
 

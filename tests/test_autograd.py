@@ -140,17 +140,45 @@ def test_conv_delta_kernel_is_identity():
     np.testing.assert_array_equal(out.data, x.data)
 
 
-@pytest.mark.parametrize("stride,padding,k", [
-    (1, 0, 1), (1, 0, 3), (1, 1, 3), (1, 2, 5), (2, 1, 3), (2, 0, 4 - 1),
+def _conv_case(stride, padding, k, hw):
+    # 7x8 inputs keep the plain "stride-padding-k" id; others add "-HxW"
+    suffix = "" if hw == (7, 8) else f"-{hw[0]}x{hw[1]}"
+    return pytest.param(stride, padding, k, hw, id=f"{stride}-{padding}-{k}{suffix}")
+
+
+# 1x2 and 2x1 are the extents of the smallest maps (the desk bottleneck)
+@pytest.mark.parametrize("stride,padding,k,hw", [
+    _conv_case(*case, hw)
+    for case in ((1, 0, 1), (1, 0, 3), (1, 1, 3), (1, 2, 5), (2, 1, 3), (2, 0, 4 - 1))
+    for hw in ((7, 8), (1, 2), (2, 1))
 ])
-@pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2)])
-def test_conv_matches_reference(stride, padding, k, cin, cout):
-    x = rand((2, cin, 7, 8), seed=stride * 10 + padding)
+@pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2), (1, 2), (3, 1)])
+def test_conv_matches_reference(stride, padding, k, hw, cin, cout):
+    x = rand((2, cin, *hw), seed=stride * 10 + padding)
     w = rand((cout, cin, k, k), seed=k)
     b = rand((1, cout, 1, 1), seed=5)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+    oh, ow = ((e + 2 * padding - k) // stride + 1 for e in hw)
+    if oh < 1 or ow < 1:
+        with pytest.raises(ContractViolation, match="non-positive"):
+            conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        return
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    got = conv2d(xt, wt, bt, stride=stride, padding=padding)
     want = conv_ref(x, w, b, stride=stride, padding=padding)
     np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-12)
+
+    # conv is linear in x and in w, so its gradients are the adjoints:
+    # <conv(u; w), y> = <u, dx(y)> and <conv(x; v), y> = <v, dw(y)>
+    y = rand(got.shape, seed=6)
+    backward(sum_all(mul(got, Tensor(y))))
+    u, v = rand(x.shape, seed=7), rand(w.shape, seed=8)
+    for lhs, probe, grad in (
+        (conv_ref(u, w, stride=stride, padding=padding), u, xt.grad),
+        (conv_ref(x, v, stride=stride, padding=padding), v, wt.grad),
+    ):
+        terms = lhs * y
+        assert abs(terms.sum() - (probe * grad).sum()) <= 1e-10 * np.abs(terms).sum()
+    np.testing.assert_allclose(bt.grad, y.sum(axis=(0, 2, 3)).reshape(b.shape), rtol=1e-12)
 
 
 def test_conv_channel_mismatch():
@@ -263,8 +291,17 @@ def test_tconv_channel_mismatch():
 
 def test_maxpool_matches_reference():
     x = rand((2, 3, 8, 10), seed=17)
-    got = maxpool2d(Tensor(x))
-    np.testing.assert_array_equal(got.data, pool_ref(x))
+    # windows with ties, signed zeros and NaN
+    x[0, 0, 0:2, 0:2] = [[3.0, 3.0], [3.0, 3.0]]
+    x[0, 0, 0:2, 2:4] = [[-0.0, 0.0], [0.0, 0.0]]
+    x[0, 0, 0:2, 4:6] = [[0.0, -0.0], [-0.0, -0.0]]
+    x[0, 1, 0:2, 0:2] = [[1.0, np.nan], [2.0, 0.5]]
+    x[0, 1, 2:4, 0:2] = [[-np.inf, -np.inf], [-np.inf, np.nan]]
+    for tracked in (False, True):
+        got = maxpool2d(Tensor(x, requires_grad=tracked)).data
+        np.testing.assert_array_equal(got, pool_ref(x))  # NaN compares equal
+        # the value is the first maximum in row-major order: -0.0 vs 0.0
+        assert np.signbit(got[0, 0, 0, 1]) and not np.signbit(got[0, 0, 0, 2])
 
 
 def test_maxpool_odd_extents_rejected():
@@ -303,9 +340,15 @@ def test_maxpool_grad_check_on_distinct_values():
 # ---------------------------------------------------------------------------
 
 def test_leaky_relu_values():
-    x = Tensor(np.array([[[[-2.0, 0.0, 3.0, -0.5]]]]))
-    out = leaky_relu(x)
-    np.testing.assert_allclose(out.data, [[[[-0.2, 0.0, 3.0, -0.05]]]], rtol=1e-6)
+    v = np.array([[[[-2.0, 0.0, 3.0, -0.5, -0.0, np.nan, -np.inf, np.inf]]]])
+    want = [[[[-0.2, 0.0, 3.0, -0.05, -0.0, np.nan, -np.inf, np.inf]]]]
+    for dtype in (np.float32, np.float64):
+        for tracked in (False, True):
+            out = leaky_relu(Tensor(v.astype(dtype), requires_grad=tracked)).data
+            assert out.dtype == dtype
+            np.testing.assert_allclose(out, want, rtol=1e-6)
+            np.testing.assert_array_equal(np.signbit(out[..., :5]),
+                                          np.signbit(v[..., :5]))
 
 
 def test_leaky_relu_derivative_at_zero_is_one():
