@@ -24,9 +24,10 @@ each tap's operand for all oH*Wp pixels is one contiguous run starting at
 offset i*Wp + j: a view that goes straight to one GEMM per tap, where
 slicing the (N, C, H, W) map would copy it.  The last kW - 1 columns of
 each output row straddle a row boundary; the forward crops them once, and
-the gradients zero them in dy first.  Strided convolutions (the transposed
-convolution's case) keep per-tap slices, because a flat offset cannot step
-s rows at once.
+the gradients zero them in dy first.  Strided and transposed convolutions
+run the same cores: a stride-s conv is a stride-1 conv with a ceil(k/s)
+kernel once `_fold` moves the s*s phases of map and kernel into channels
+(Shi et al., arXiv 1609.07009); `_unfold`, its adjoint, moves them back.
 """
 
 from __future__ import annotations
@@ -154,12 +155,6 @@ def backward(loss: Tensor):
 # convolution cores (shared by conv2d / transposed_conv2d forward + backward)
 # ---------------------------------------------------------------------------
 
-def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
-
 def _flat_pad(x: np.ndarray, p: int, kw: int) -> np.ndarray:
     """Zero-pad by p and flatten rows: (N, C, H, W) -> (N, C, Hp*Wp + kW - 1).
 
@@ -187,35 +182,49 @@ def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
+def _fold(x: np.ndarray, s: int, p: int) -> np.ndarray:
+    """Zero-pad by p up to a multiple of s and move the s*s phases into channels.
+
+    out[n, (c*s + r)*s + q, a, b] = xpad[n, c, a*s + r, b*s + q]
+    """
+    n, c, h, wd = x.shape
+    fh, fw = -(-(h + 2 * p) // s), -(-(wd + 2 * p) // s)
+    xp = np.zeros((n, c, fh * s, fw * s), dtype=x.dtype)
+    xp[:, :, p : p + h, p : p + wd] = x
+    return xp.reshape(n, c, fh, s, fw, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, -1, fh, fw)
+
+
+def _unfold(f: np.ndarray, s: int, p: int, hw: tuple[int, int]) -> np.ndarray:
+    """Adjoint of `_fold`: interleave the phases back, then crop p and the tail."""
+    n, _, fh, fw = f.shape
+    x = f.reshape(n, -1, s, s, fh, fw).transpose(0, 1, 4, 2, 5, 3)
+    x = x.reshape(n, -1, fh * s, fw * s)
+    return np.ascontiguousarray(x[:, :, p : p + hw[0], p : p + hw[1]])
+
+
 def _conv_core(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """out[n,o,y,x] = sum_{c,i,j} w[o,c,i,j] * xpad[n,c,y*s+i,x*s+j].
 
-    With stride 1 the result is a cropped view of the padded-width grid.
+    The result is a cropped view of the padded-width grid.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
-    if stride == 1:
-        wp = wd + 2 * padding
-        m = oh * wp
-        xp = _flat_pad(x, padding, kw)
-        acc = _tap_product(w[:, :, 0, 0], xp[:, :, :m], np.empty((n, oc, m), x.dtype))
-        prod = np.empty_like(acc)
-        for i in range(kh):
-            for j in range(kw):
-                if i or j:
-                    off = i * wp + j
-                    acc += _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod)
-        return acc.reshape(n, oc, oh, wp)[..., :ow]
-    xp = _pad_hw(x, padding)
-    acc = np.zeros((oc, n, oh, ow), dtype=x.dtype)
+    if stride > 1:
+        out = _conv_core(_fold(x, stride, padding), _fold(w, stride, 0), 1, 0)
+        return out[..., :oh, :ow]
+    wp = wd + 2 * padding
+    m = oh * wp
+    xp = _flat_pad(x, padding, kw)
+    acc = _tap_product(w[:, :, 0, 0], xp[:, :, :m], np.empty((n, oc, m), x.dtype))
+    prod = np.empty_like(acc)
     for i in range(kh):
         for j in range(kw):
-            sl = xp[:, :, i : i + stride * (oh - 1) + 1 : stride,
-                    j : j + stride * (ow - 1) + 1 : stride]
-            acc += np.tensordot(w[:, :, i, j], sl, axes=([1], [1]))
-    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+            if i or j:
+                off = i * wp + j
+                acc += _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod)
+    return acc.reshape(n, oc, oh, wp)[..., :ow]
 
 
 def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
@@ -224,26 +233,20 @@ def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     n, oc, oh, ow = dy.shape
     _, ic, kh, kw = w.shape
     h, wd = in_hw
-    if stride == 1:
-        hp, wp = h + 2 * padding, wd + 2 * padding
-        m = oh * wp
-        dyf = _flat_grid(dy, wp)
-        dxp = np.zeros((n, ic, hp * wp + kw - 1), dtype=dy.dtype)
-        prod = np.empty((n, ic, m), dtype=dy.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                off = i * wp + j
-                dxp[:, :, off : off + m] += _tap_product(w[:, :, i, j].T, dyf, prod)
-        dxp = dxp[:, :, : hp * wp].reshape(n, ic, hp, wp)
-        return np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + wd])
-    dxp = np.zeros((n, ic, h + 2 * padding, wd + 2 * padding), dtype=dy.dtype)
+    if stride > 1:
+        fhw = (-(-(h + 2 * padding) // stride), -(-(wd + 2 * padding) // stride))
+        df = _conv_input_grad(dy, _fold(w, stride, 0), 1, 0, fhw)
+        return _unfold(df, stride, padding, in_hw)
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    m = oh * wp
+    dyf = _flat_grid(dy, wp)
+    dxp = np.zeros((n, ic, hp * wp + kw - 1), dtype=dy.dtype)
+    prod = np.empty((n, ic, m), dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
-            contrib = np.tensordot(w[:, :, i, j], dy, axes=([0], [1]))
-            dxp[:, :, i : i + stride * (oh - 1) + 1 : stride,
-                j : j + stride * (ow - 1) + 1 : stride] += contrib.transpose(1, 0, 2, 3)
-    if padding == 0:
-        return dxp
+            off = i * wp + j
+            dxp[:, :, off : off + m] += _tap_product(w[:, :, i, j].T, dyf, prod)
+    dxp = dxp[:, :, : hp * wp].reshape(n, ic, hp, wp)
     return np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + wd])
 
 
@@ -251,26 +254,22 @@ def _conv_weight_grad(x: np.ndarray, dy: np.ndarray, stride: int, padding: int,
                       kshape: tuple[int, int]) -> np.ndarray:
     """dw[o,c,i,j] = sum_{n,y,x} dy[n,o,y,x] * xpad[n,c,y*s+i,x*s+j]."""
     kh, kw = kshape
+    if stride > 1:
+        fk = (-(-kh // stride), -(-kw // stride))
+        dwf = _conv_weight_grad(_fold(x, stride, padding), dy, 1, 0, fk)
+        return _unfold(dwf, stride, 0, kshape)
     n, c, h, wd = x.shape
     _, oc, oh, ow = dy.shape
     dw = np.zeros((oc, c, kh, kw), dtype=x.dtype)
-    if stride == 1:
-        wp = wd + 2 * padding
-        m = oh * wp
-        xp = _flat_pad(x, padding, kw)
-        dyf = _flat_grid(dy, wp)
-        for i in range(kh):
-            for j in range(kw):
-                off = i * wp + j
-                prod = np.matmul(dyf, xp[:, :, off : off + m].transpose(0, 2, 1))
-                dw[:, :, i, j] = prod.sum(axis=0)
-        return dw
-    xp = _pad_hw(x, padding)
+    wp = wd + 2 * padding
+    m = oh * wp
+    xp = _flat_pad(x, padding, kw)
+    dyf = _flat_grid(dy, wp)
     for i in range(kh):
         for j in range(kw):
-            sl = xp[:, :, i : i + stride * (oh - 1) + 1 : stride,
-                    j : j + stride * (ow - 1) + 1 : stride]
-            dw[:, :, i, j] = np.tensordot(dy, sl, axes=([0, 2, 3], [0, 2, 3]))
+            off = i * wp + j
+            prod = np.matmul(dyf, xp[:, :, off : off + m].transpose(0, 2, 1))
+            dw[:, :, i, j] = prod.sum(axis=0)
     return dw
 
 
@@ -315,7 +314,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     _check_bias(b, oc, "conv2d")
 
     out = _conv_core(x.data, w.data, stride, padding)
-    # the bias add also packs the stride-1 core's cropped view
+    # the bias add also packs the core's cropped view
     out = np.ascontiguousarray(out) if b is None else out + b.data
 
     parents = (x, w) if b is None else (x, w, b)

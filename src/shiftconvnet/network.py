@@ -256,9 +256,6 @@ class ShiftConvNet:
 
     # -- parameter access ---------------------------------------------------
 
-    def param_names(self) -> list[str]:
-        return sorted(self.params)
-
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()

@@ -149,7 +149,8 @@ def _conv_case(stride, padding, k, hw):
 # 1x2 and 2x1 are the extents of the smallest maps (the desk bottleneck)
 @pytest.mark.parametrize("stride,padding,k,hw", [
     _conv_case(*case, hw)
-    for case in ((1, 0, 1), (1, 0, 3), (1, 1, 3), (1, 2, 5), (2, 1, 3), (2, 0, 4 - 1))
+    for case in ((1, 0, 1), (1, 0, 3), (1, 1, 3), (1, 2, 5), (2, 1, 3), (2, 0, 4 - 1),
+                 (3, 1, 3), (3, 0, 5))
     for hw in ((7, 8), (1, 2), (2, 1))
 ])
 @pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2), (1, 2), (3, 1)])
@@ -227,6 +228,7 @@ def test_conv_strided_grad_check():
 
 @pytest.mark.parametrize("stride,padding,k,h,w", [
     (2, 1, 4, 3, 4), (2, 1, 4, 5, 5), (1, 1, 3, 4, 4), (2, 0, 3, 3, 3),
+    (3, 1, 5, 4, 5), (3, 0, 3, 3, 2),
 ])
 def test_tconv_matches_scatter_reference(stride, padding, k, h, w):
     x = rand((2, 3, h, w), seed=h)
@@ -236,6 +238,17 @@ def test_tconv_matches_scatter_reference(stride, padding, k, h, w):
                             stride=stride, padding=padding)
     want = tconv_ref(x, wt, b, stride=stride, padding=padding)
     np.testing.assert_allclose(got.data, want, rtol=1e-10, atol=1e-12)
+
+
+def test_tconv_batch_does_not_change_per_image_results():
+    # the decoder's smallest deconv: one image's output must not depend on
+    # which other images share its batch
+    x = rand((2, 64, 2, 4), seed=17, dtype=np.float32)
+    w = Tensor(rand((64, 32, 4, 4), seed=18, dtype=np.float32))
+    both = transposed_conv2d(Tensor(x), w).data
+    for i in range(2):
+        one = transposed_conv2d(Tensor(x[i : i + 1]), w).data
+        assert np.array_equal(both[i : i + 1], one)
 
 
 def test_tconv_doubles_extents():

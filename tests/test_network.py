@@ -98,8 +98,8 @@ def test_init_deterministic_in_seed():
     a = ShiftConvNet(desk_config(), seed=0)
     b = ShiftConvNet(desk_config(), seed=0)
     c = ShiftConvNet(desk_config(), seed=1)
-    assert a.param_names() == b.param_names()
-    for name in a.param_names():
+    assert sorted(a.params) == sorted(b.params)
+    for name in sorted(a.params):
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
     assert not np.array_equal(a.params["feat.conv1.w"].data,
                               c.params["feat.conv1.w"].data)
@@ -117,7 +117,7 @@ def test_init_biases_zero_and_weight_scale():
 
 
 def test_param_name_catalog():
-    names = ShiftConvNet(desk_config(), seed=0).param_names()
+    names = sorted(ShiftConvNet(desk_config(), seed=0).params)
     stems = ["feat.conv1", "feat.conv2", "feat.conv3", "feat.conv4",
              "shift.clue", "redir",
              "enc.conv5", "enc.conv6", "enc.conv7", "enc.conv8",
@@ -129,9 +129,9 @@ def test_param_name_catalog():
 
 
 def test_correlation_model_drops_clue_params_only():
-    shift_names = set(ShiftConvNet(desk_config(), seed=0).param_names())
+    shift_names = set(ShiftConvNet(desk_config(), seed=0).params)
     corr_names = set(ShiftConvNet(desk_config(cost_volume=CORRELATION),
-                                  seed=0).param_names())
+                                  seed=0).params)
     assert shift_names - corr_names == {"shift.clue.w", "shift.clue.b"}
     assert corr_names < shift_names
 
@@ -271,6 +271,18 @@ def test_batch_forward_matches_single_sample():
                                atol=1e-5)
     np.testing.assert_allclose(full.coarse_disp.data[1], two.coarse_disp.data[0],
                                atol=1e-5)
+
+
+def test_batched_forward_is_bit_identical_to_single_forwards():
+    model = ShiftConvNet(desk_config(), seed=0)
+    left = image((2, 1, 64, 128), seed=23)
+    right = image((2, 1, 64, 128), seed=24)
+    both = model.forward(left, right)
+    for i in range(2):
+        one = model.forward(Tensor(left.data[i : i + 1]), Tensor(right.data[i : i + 1]))
+        for key in ("refined_disp", "coarse_disp", "small_disp"):
+            assert np.array_equal(getattr(both, key).data[i : i + 1],
+                                  getattr(one, key).data), key
 
 
 # ---------------------------------------------------------------------------
