@@ -493,16 +493,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return graph_out(a.data + b.data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def bwd(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, -g)
-
-    return graph_out(a.data - b.data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
@@ -513,25 +503,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return graph_out(a.data * b.data, (a, b), bwd)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    sv = a.dtype.type(s)
-
-    def bwd(g):
-        accumulate_grad(a, g * sv)
-
-    return graph_out(a.data * sv, (a,), bwd)
-
-
-def absolute(a: Tensor) -> Tensor:
-    """|a| elementwise; the derivative at 0 is defined as 0."""
-    sign = np.sign(a.data)
-
-    def bwd(g):
-        accumulate_grad(a, g * sign)
-
-    return graph_out(np.abs(a.data), (a,), bwd)
-
-
 def sum_all(a: Tensor) -> Tensor:
     """Sum over every element, producing a (1, 1, 1, 1) scalar tensor."""
     out = a.data.sum(dtype=a.dtype).reshape(1, 1, 1, 1)
@@ -540,10 +511,6 @@ def sum_all(a: Tensor) -> Tensor:
         accumulate_grad(a, np.full_like(a.data, g.reshape(())))
 
     return graph_out(out, (a,), bwd)
-
-
-def scalar(value: float, dtype=np.float32) -> Tensor:
-    return Tensor(np.full((1, 1, 1, 1), value, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,8 @@ def read_pfm(data: bytes) -> np.ndarray:
         scale = float(tok)
     except ValueError:
         raise CodecError(f"bad PFM scale {tok!r}", start) from None
-    if scale == 0:
-        raise CodecError("PFM scale must be nonzero", start)
+    if scale == 0 or not np.isfinite(scale):
+        raise CodecError(f"PFM scale must be finite and nonzero; got {tok!r}", start)
 
     pos += 1  # exactly one whitespace byte separates header and payload
     count = width * height * channels

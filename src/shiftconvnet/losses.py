@@ -14,19 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (
-    ContractViolation,
-    Tensor,
-    absolute,
-    accumulate_grad,
-    add,
-    graph_out,
-    mul,
-    scale,
-    scalar,
-    sub,
-    sum_all,
-)
+from .autograd import ContractViolation, Tensor, accumulate_grad, graph_out
 
 
 @dataclass
@@ -44,16 +32,21 @@ class LossConfig:
                 raise ContractViolation(f"{name} must be >= 0")
 
 
+def _smooth_l1_parts(x: np.ndarray):
+    """(smooth-L1 of x, its derivative), elementwise."""
+    a = np.abs(x)
+    quad = a < 1
+    half = x.dtype.type(0.5)
+    return np.where(quad, half * x * x, a - half), np.where(quad, x, np.sign(x))
+
+
 def smooth_l1(x: Tensor) -> Tensor:
     """0.5*x^2 for |x| < 1, |x| - 0.5 otherwise.
 
     Continuous with continuous first derivative at |x| = 1; the derivative
     is x inside the quadratic region and sign(x) outside.
     """
-    a = np.abs(x.data)
-    quad = a < 1
-    out = np.where(quad, x.dtype.type(0.5) * x.data * x.data, a - x.dtype.type(0.5))
-    deriv = np.where(quad, x.data, np.sign(x.data))
+    out, deriv = _smooth_l1_parts(x.data)
 
     def bwd(g):
         accumulate_grad(x, g * deriv)
@@ -69,7 +62,7 @@ def valid_mask(gt: np.ndarray) -> np.ndarray:
 def _as_target(pred: Tensor, gt: np.ndarray, what: str):
     """Normalize gt to the prediction's (N, 1, H, W) layout.
 
-    Returns (target tensor with invalid pixels zeroed, mask tensor,
+    Returns (target with invalid pixels zeroed, mask as 0/1 values,
     valid-pixel count).  Accepts (H, W), (N, H, W) or (N, 1, H, W) arrays.
     """
     arr = np.asarray(gt, dtype=pred.data.dtype)
@@ -90,34 +83,56 @@ def _as_target(pred: Tensor, gt: np.ndarray, what: str):
     count = int(mask.sum())
     if count == 0:
         raise ContractViolation(f"{what} has zero valid ground-truth pixels")
-    target = np.where(mask, arr, 0)
-    return Tensor(target), Tensor(mask.astype(pred.data.dtype)), count
+    return np.where(mask, arr, 0), mask.astype(pred.data.dtype), count
 
 
-def _masked_mean(err: Tensor, mask: Tensor, count: int) -> Tensor:
-    return scale(sum_all(mul(err, mask)), 1.0 / count)
-
-
-def weight_decay(weights) -> Tensor:
-    """Sum of squared values over the given weight tensors (biases are the
-    caller's business; by convention they are excluded)."""
-    weights = list(weights)
-    if not weights:
-        return scalar(0.0)
-    total = None
+def weight_decay(weights):
+    """Sum of squared values over the given weight tensors, as a numpy
+    scalar (biases are the caller's business; by convention they are
+    excluded)."""
+    total = np.float32(0)
     for w in weights:
-        sq = sum_all(mul(w, w))
-        total = sq if total is None else add(total, sq)
+        total = total + (w.data * w.data).sum(dtype=w.dtype)
     return total
+
+
+def _stage_loss(terms, weights, decay: float) -> Tensor:
+    """One graph node for sum_k coef_k * masked-mean(kernel_k(p_k - T_k))
+    plus decay * sum(w^2), over (p_k, gt_k, name, kernel_k, coef_k) terms;
+    a kernel maps the error to (value, derivative).  The float operations
+    run in the order of the elementwise-op composition of the same loss."""
+    dtype = terms[0][0].dtype
+    decayed = list(weights) if decay != 0 else []
+    if any(w.dtype != dtype for w in decayed):
+        raise ContractViolation(
+            f"loss dtype mismatch: decayed weights must be {dtype} like the predictions"
+        )
+    decay = dtype.type(decay)
+    total, parts = None, []
+    for pred, gt, what, kernel, coef in terms:
+        target, mask, count = _as_target(pred, gt, what)
+        err, deriv = kernel(pred.data - target)
+        coef, inv = dtype.type(coef), dtype.type(1.0 / count)
+        term = (err * mask).sum(dtype=dtype) * inv * coef
+        total = term if total is None else total + term
+        parts.append((pred, coef, inv, mask, deriv))
+    if decay != 0:
+        total = total + weight_decay(decayed) * decay
+
+    def bwd(g):
+        for pred, coef, inv, mask, deriv in parts:
+            accumulate_grad(pred, (g * coef * inv * mask) * deriv)
+        for w in decayed:
+            accumulate_grad(w, (g * 2 * decay) * w.data)
+
+    parents = tuple(part[0] for part in parts) + tuple(decayed)
+    return graph_out(np.full((1, 1, 1, 1), total, dtype), parents, bwd)
 
 
 def loss1(p_c: Tensor, gt: np.ndarray, weights, cfg: LossConfig) -> Tensor:
     """Coarse-stage loss: masked mean smooth-L1 plus alpha1 * sum(w^2)."""
-    target, mask, count = _as_target(p_c, gt, "loss1")
-    data_term = _masked_mean(smooth_l1(sub(p_c, target)), mask, count)
-    if cfg.alpha1 == 0:
-        return data_term
-    return add(data_term, scale(_cast(weight_decay(weights), p_c), cfg.alpha1))
+    return _stage_loss([(p_c, gt, "loss1", _smooth_l1_parts, 1.0)],
+                       weights, cfg.alpha1)
 
 
 def loss2(p_f: Tensor, gt: np.ndarray, p_s: Tensor, gt_small: np.ndarray,
@@ -127,24 +142,11 @@ def loss2(p_f: Tensor, gt: np.ndarray, p_s: Tensor, gt_small: np.ndarray,
 
     `gt_small` must already be in small-map pixel units (resized with the
     nearest-neighbor disparity rule)."""
-    target_f, mask_f, count_f = _as_target(p_f, gt, "loss2 final")
-    target_s, mask_s, count_s = _as_target(p_s, gt_small, "loss2 small")
-    total = _masked_mean(smooth_l1(sub(p_f, target_f)), mask_f, count_f)
-    small = _masked_mean(absolute(sub(p_s, target_s)), mask_s, count_s)
-    total = add(total, scale(small, cfg.alpha2))
-    if cfg.beta2 != 0:
-        total = add(total, scale(_cast(weight_decay(weights), p_f), cfg.beta2))
-    return total
-
-
-def _cast(t: Tensor, like: Tensor) -> Tensor:
-    if t.data.dtype == like.data.dtype:
-        return t
-    # Mixed dtypes only occur in ad-hoc checks; keep the graph intact.
-    raise ContractViolation(
-        f"loss dtype mismatch: weights are {t.data.dtype}, predictions are "
-        f"{like.data.dtype}"
-    )
+    # d|x|/dx is sign(x), 0 at x = 0
+    return _stage_loss([(p_f, gt, "loss2 final", _smooth_l1_parts, 1.0),
+                        (p_s, gt_small, "loss2 small",
+                         lambda d: (np.abs(d), np.sign(d)), cfg.alpha2)],
+                       weights, cfg.beta2)
 
 
 # ---------------------------------------------------------------------------
@@ -177,4 +179,5 @@ def d1_rate(pred: np.ndarray, gt: np.ndarray, mask=None,
 
     Tables report this value multiplied by 100."""
     err = _metric_inputs(pred, gt, mask)
-    return float((err > threshold).mean())
+    # a non-finite prediction is a bad pixel: NaN > threshold is False
+    return float((~(err <= threshold)).mean())

@@ -190,7 +190,14 @@ def read_checkpoint_blob(data: bytes):
         shape = struct.unpack("<4I", head)
         count = math.prod(shape)  # Python ints: no int64 wrap-around
         payload, pos = _take(data, pos, count * 4, f"values of {name!r}")
-        records[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(payload, dtype="<f4")
+        finite = np.isfinite(arr)
+        # cfg.* scalars are validated by config_from_scalars
+        if not name.startswith("cfg.") and not finite.all():
+            at = int(np.argmin(finite))
+            raise CodecError(f"non-finite value {arr[at]} in {name!r}",
+                             pos - 4 * (count - at))
+        records[name] = arr.reshape(shape).copy()
     return iteration, stage, records
 
 

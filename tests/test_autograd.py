@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from shiftconvnet.autograd import (
     ContractViolation,
     Tensor,
-    absolute,
     add,
     backward,
     concat_channels,
@@ -18,9 +17,6 @@ from shiftconvnet.autograd import (
     leaky_relu,
     maxpool2d,
     mul,
-    scalar,
-    scale,
-    sub,
     sum_all,
     transposed_conv2d,
 )
@@ -447,28 +443,15 @@ def test_elementwise_semantics():
     a = Tensor(np.full((1, 1, 1, 2), 3.0))
     b = Tensor(np.full((1, 1, 1, 2), 2.0))
     np.testing.assert_array_equal(add(a, b).data, [[[[5.0, 5.0]]]])
-    np.testing.assert_array_equal(sub(a, b).data, [[[[1.0, 1.0]]]])
     np.testing.assert_array_equal(mul(a, b).data, [[[[6.0, 6.0]]]])
-    np.testing.assert_array_equal(scale(a, -2.0).data, [[[[-6.0, -6.0]]]])
     assert sum_all(a).item() == 6.0
 
 
 def test_elementwise_shape_mismatch():
     a, b = Tensor(rand((1, 1, 2, 2))), Tensor(rand((1, 1, 2, 3)))
-    for op in (add, sub, mul):
+    for op in (add, mul):
         with pytest.raises(ContractViolation):
             op(a, b)
-
-
-def test_absolute_derivative_zero_at_zero():
-    x = Tensor(np.array([[[[0.0, -2.0, 3.0]]]]), requires_grad=True)
-    backward(sum_all(absolute(x)))
-    np.testing.assert_array_equal(x.grad, [[[[0.0, -1.0, 1.0]]]])
-
-
-def test_scalar_helper():
-    s = scalar(2.5, dtype=np.float64)
-    assert s.shape == (1, 1, 1, 1) and s.item() == 2.5
 
 
 def test_reused_tensor_accumulates_gradient():
@@ -486,14 +469,10 @@ def test_graph_pruned_without_requires_grad():
 
 
 def test_elementwise_grad_checks():
-    v = rand((1, 1, 3, 3), seed=28)
-    v = np.where(np.abs(v) < 0.1, 0.4, v)
-    x0 = Tensor(v)
+    x0 = Tensor(rand((1, 1, 3, 3), seed=28))
     c = Tensor(rand((1, 1, 3, 3), seed=29))
     assert grad_check(lambda t: sum_all(mul(t, c)), x0) < GRAD_TOL
     assert grad_check(lambda t: sum_all(mul(t, t)), x0) < GRAD_TOL
-    assert grad_check(lambda t: sum_all(scale(sub(t, c), 1.7)), x0) < GRAD_TOL
-    assert grad_check(lambda t: sum_all(absolute(t)), x0) < GRAD_TOL
 
 
 def test_composite_chain_grad_check():

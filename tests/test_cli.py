@@ -34,7 +34,13 @@ from shiftconvnet.network import (
     desk_config,
     tiny_config,
 )
-from shiftconvnet.training import TrainConfig, checkpoint_bytes, load_checkpoint
+from shiftconvnet.training import (
+    Adam,
+    TrainConfig,
+    checkpoint_bytes,
+    load_checkpoint,
+    read_checkpoint_blob,
+)
 
 TINY_LINES = {
     "feat_channels": "2, 2, 2, 2",
@@ -382,12 +388,24 @@ def test_cli_data_problems_exit_2(tmp_path, capsys):
 CKPT_HEADER = b"SCNC" + struct.pack("<3I", 1, 0, 1)
 
 
+def payload_offset(blob, name):
+    """Byte offset of the first float32 of record `name`."""
+    key = name.encode()
+    return blob.index(struct.pack("<I", len(key)) + key) + 4 + len(key) + 16
+
+
+def with_value(name, value):
+    """A valid checkpoint, optimizer state included, with the first float32
+    of record `name` replaced."""
+    model = ShiftConvNet(tiny_config(), seed=0)
+    blob = checkpoint_bytes(model, Adam(model.params), 0, 1)
+    at = payload_offset(blob, name)
+    return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+
+
 def with_cfg_scalar(key, value):
     """A valid checkpoint with the float32 of record cfg.<key> replaced."""
-    blob = checkpoint_bytes(ShiftConvNet(tiny_config(), seed=0), None, 0, 1)
-    name = f"cfg.{key}".encode()
-    at = blob.index(struct.pack("<I", len(name)) + name) + 4 + len(name) + 16
-    return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+    return with_value(f"cfg.{key}", value)
 
 
 @pytest.mark.parametrize("make_blob", [
@@ -399,12 +417,29 @@ def with_cfg_scalar(key, value):
                  id="unknown-variant-code"),
     pytest.param(lambda: with_cfg_scalar("maxdisp", float("nan")),
                  id="nan-maxdisp"),
+    pytest.param(lambda: with_value("head.coarse.b", float("nan")),
+                 id="nan-weight"),
+    pytest.param(lambda: with_value("opt.v.feat.conv1.w", float("inf")),
+                 id="inf-moment"),
 ])
 def test_cli_corrupt_checkpoint_exits_2(tmp_path, capsys, make_blob):
+    # a loadable dataset, so only the checkpoint can fail the run
+    data = tmp_path / "data"
+    write_dataset(data, [gen_synthetic_pair(SynthConfig(width=64, height=64))])
     ckpt = tmp_path / "corrupt.scnc"
     ckpt.write_bytes(make_blob())
-    assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path)]) == 2
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, value", [("head.coarse.b", float("nan")),
+                                         ("opt.m.redir.w", float("-inf")),
+                                         ("opt.v.feat.conv1.w", float("inf"))])
+def test_checkpoint_non_finite_record_names_its_offset(name, value):
+    blob = with_value(name, value)
+    with pytest.raises(CodecError, match=re.escape(repr(name))) as e:
+        read_checkpoint_blob(blob)
+    assert e.value.offset == payload_offset(blob, name)
 
 
 def test_cli_infer_mismatched_pair_exits_2(tmp_path, capsys):

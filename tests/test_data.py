@@ -195,6 +195,10 @@ def test_pfm_errors_carry_byte_offsets():
 
     with pytest.raises(CodecError, match="nonzero"):
         read_pfm(b"Pf\n1 1\n0.0\n" + b"\0" * 4)
+    for token in (b"nan", b"inf", b"-inf"):
+        with pytest.raises(CodecError, match="finite") as e:
+            read_pfm(b"Pf\n3 1\n" + token + b"\n" + b"\0" * 12)
+        assert e.value.offset == 7
     with pytest.raises(CodecError, match="extents"):
         read_pfm(b"Pf\n0 1\n-1.0\n")
     with pytest.raises(CodecError, match="end of header"):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftconvnet.autograd import ContractViolation, Tensor, backward, grad_check, sum_all
+from shiftconvnet.autograd import (
+    ContractViolation,
+    Tensor,
+    backward,
+    grad_check,
+    mul,
+    sum_all,
+)
 from shiftconvnet.losses import (
     LossConfig,
     d1_rate,
@@ -210,6 +217,77 @@ def test_loss2_grad_check():
     ) < GRAD_TOL
 
 
+def test_loss2_small_term_derivative_is_zero_at_zero_error():
+    p_s = t4([[1.0, 2.0, 3.0]], dtype=np.float64, requires_grad=True)
+    gt_s = np.array([[1.0, 1.0, 5.0]])
+    backward(loss2(t4([[0.0]], dtype=np.float64), np.zeros((1, 1)), p_s, gt_s,
+                   [], LossConfig(alpha2=1.0, beta2=0.0)))
+    # d|x|/dx at x = 0 is 0
+    np.testing.assert_array_equal(p_s.grad.ravel(), [0.0, 1 / 3, -1 / 3])
+
+
+def _composed_term(pred, gt, kernel_is_abs):
+    """One masked-mean term built from smooth_l1, mul, sum_all and numpy:
+    (masked sum, d(masked sum)/d pred, 1/count)."""
+    dt = pred.dtype
+    arr = np.asarray(gt, dtype=dt)[:, None]
+    valid = np.isfinite(arr) & (arr >= 0)
+    err = pred.data - np.where(valid, arr, 0)
+    mask = Tensor(valid.astype(dt))
+    if kernel_is_abs:
+        total = sum_all(mul(Tensor(np.abs(err)), mask)).data.reshape(())
+        grad = np.sign(err) * mask.data
+    else:
+        d = Tensor(err, requires_grad=True)
+        out = sum_all(mul(smooth_l1(d), mask))
+        backward(out)
+        total, grad = out.data.reshape(()), d.grad
+    return total, grad, dt.type(1.0 / int(valid.sum()))
+
+
+def _composed_decay(weights):
+    return sum(sum_all(mul(w, w)).data.reshape(()) for w in weights)
+
+
+def _ids(tensors):
+    return [id(t) for t in tensors]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stage_losses_are_one_node_equal_to_the_composed_loss(dtype):
+    rng = np.random.default_rng(5)
+    p = Tensor(rng.uniform(0, 4, (2, 1, 3, 4)).astype(dtype), requires_grad=True)
+    gt = rng.uniform(0, 4, (2, 3, 4))
+    gt[1, 2, 0] = np.nan  # invalid pixel
+    p_s = Tensor(rng.uniform(0, 2, (2, 1, 2, 2)).astype(dtype), requires_grad=True)
+    gt_s = rng.uniform(0, 2, (2, 2, 2))
+    gt_s[0, 1, 1] = -1.0  # invalid pixel
+    ws = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+          for s in ((3, 1, 3, 3), (1, 3, 1, 1))]
+    cfg = LossConfig(alpha1=0.3, alpha2=0.7, beta2=0.2)
+    a1, a2, b2 = (dtype(v) for v in (cfg.alpha1, cfg.alpha2, cfg.beta2))
+    sf, gf, inv_f = _composed_term(p, gt, False)
+    ss, gs, inv_s = _composed_term(p_s, gt_s, True)
+    decay = _composed_decay(ws)
+
+    out = loss1(p, gt, ws, cfg)
+    assert _ids(out._parents) == _ids([p] + ws)
+    assert out.data.reshape(()) == sf * inv_f + decay * a1
+    backward(out)
+    np.testing.assert_array_equal(p.grad, gf * inv_f)
+    for w in ws:
+        np.testing.assert_array_equal(w.grad, (2 * a1) * w.data)
+    assert _ids(loss1(p, gt, ws, LossConfig(alpha1=0.0))._parents) == _ids([p])
+
+    p.zero_grad()
+    out = loss2(p, gt, p_s, gt_s, ws, cfg)
+    assert _ids(out._parents) == _ids([p, p_s] + ws)
+    assert out.data.reshape(()) == sf * inv_f + ss * inv_s * a2 + decay * b2
+    backward(out)
+    np.testing.assert_array_equal(p.grad, gf * inv_f)
+    np.testing.assert_array_equal(p_s.grad, gs * (a2 * inv_s))
+
+
 def test_loss_dtype_mismatch_is_rejected():
     pred = t4([[1.0]])  # float32
     w = Tensor(np.float64([[[[1.0]]]]))
@@ -237,6 +315,8 @@ def test_d1_threshold_is_strict():
     assert d1_rate(np.array([3.0, 0.0]), np.zeros(2)) == 0.0
     assert d1_rate(np.array([3.0 + 1e-9, 0.0]), np.zeros(2)) == 0.5
     assert d1_rate(np.array([2.0, 0.0]), np.zeros(2), threshold=1.5) == 0.5
+    # a non-finite prediction is never within the threshold
+    assert d1_rate(np.array([np.nan, np.inf, -np.inf, 0.0]), np.zeros(4)) == 0.75
 
 
 def test_metrics_mask_invalid_gt_by_default():
