@@ -5,7 +5,11 @@ maps, scalar losses) lives in a `Tensor`: a (batch, channels, height, width)
 numpy array plus optional gradient tracking.  Operations record parent links
 on their outputs; `backward` walks the recorded graph once in reverse
 topological order and accumulates gradients additively into every
-grad-tracked tensor on the path.
+grad-tracked tensor on the path.  `backward` consumes the graph: once an op
+output's backward has run, its gradient, closure and parent links are
+dropped, so only leaves (tensors no op produced) keep their gradients, and
+each intermediate is freed as soon as no pending backward holds it (Chen et
+al., arXiv 1604.06174).  A second `backward` through a consumed node raises.
 
 float32 is the working precision.  float64 inputs propagate through every
 op unchanged and exist for finite-difference gradient checking
@@ -28,6 +32,12 @@ the gradients zero them in dy first.  Strided and transposed convolutions
 run the same cores: a stride-s conv is a stride-1 conv with a ceil(k/s)
 kernel once `_fold` moves the s*s phases of map and kernel into channels
 (Shi et al., arXiv 1609.07009); `_unfold`, its adjoint, moves them back.
+
+Both convolutions take `leaky=True` to apply `leaky_relu` to their biased
+result in place.  The values are those of `leaky_relu(conv(...))`, bit for
+bit, but the graph keeps a bool sign mask instead of the float
+pre-activation (Rota Bulo et al., arXiv 1712.02616) and one node instead
+of two.
 """
 
 from __future__ import annotations
@@ -133,12 +143,21 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar loss.
+def _released(grad):
+    raise ContractViolation(
+        "backward through a graph that an earlier backward already consumed"
+    )
 
-    Afterwards every grad-tracked tensor reachable from `loss` holds
-    d(loss)/d(tensor); fan-out contributions accumulate additively.  Each
-    graph record is visited exactly once.
+
+def backward(loss: Tensor):
+    """Reverse-mode sweep from a scalar loss, consuming its graph.
+
+    Afterwards every grad-tracked leaf reachable from `loss` holds
+    d(loss)/d(leaf); fan-out contributions accumulate additively.  Each
+    graph record is visited exactly once.  As soon as an op output's
+    backward has run, its gradient, closure and parent links are dropped:
+    only leaves keep their gradients, and a later `backward` that reaches
+    the output raises `ContractViolation`.
     """
     if loss.data.size != 1:
         raise ContractViolation(
@@ -146,9 +165,13 @@ def backward(loss: Tensor):
         )
     order = _toposort(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _released, ()
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +305,60 @@ def _check_bias(b: Tensor | None, channels: int, op: str):
         )
 
 
+LEAKY_SLOPE = 0.1
+
+
+def _leaky(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # max(y, slope*y) selects y exactly when y >= 0, because 0 <= slope <= 1
+    return np.maximum(y, y * y.dtype.type(LEAKY_SLOPE), out=out)
+
+
+def _leaky_grad(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """g where the pre-activation was >= 0 (the derivative at 0 is 1), else slope*g."""
+    return np.where(mask, g, g * g.dtype.type(LEAKY_SLOPE))
+
+
+def _conv_epilogue(y: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
+                   leaky: bool, input_grad, weight_grad) -> Tensor:
+    """Add the bias, optionally apply leaky in place, and record the op.
+
+    `input_grad(g)` and `weight_grad(g)` are the core's adjoints.  The bias
+    add also packs the core's possibly cropped result, so the in-place
+    activation never writes into an operand.
+    """
+    parents = (x, w) if b is None else (x, w, b)
+    y = np.ascontiguousarray(y) if b is None else y + b.data
+    mask = None
+    if leaky:
+        if any(p.requires_grad for p in parents):
+            mask = y >= 0
+        _leaky(y, out=y)
+
+    def bwd(g):
+        if leaky:
+            g = _leaky_grad(g, mask)
+        if x.requires_grad:
+            accumulate_grad(x, input_grad(g))
+        if w.requires_grad:
+            accumulate_grad(w, weight_grad(g))
+        if b is not None and b.requires_grad:
+            accumulate_grad(b, g.sum(axis=(0, 2, 3)).reshape(b.shape))
+
+    return graph_out(y, parents, bwd)
+
+
 # ---------------------------------------------------------------------------
 # forward operators
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+           stride: int = 1, padding: int = 0, leaky: bool = False) -> Tensor:
     """2D cross-correlation with zero padding.
 
     `w` has shape (out_channels, in_channels, kH, kW) with odd kH, kW.
     Output spatial extents are (H + 2p - kH)/s + 1 by (W + 2p - kW)/s + 1
-    and must be positive.
+    and must be positive.  `leaky=True` returns exactly
+    `leaky_relu(conv2d(x, w, b, stride, padding))` as one node.
     """
     n, c, h, wd = x.shape
     oc, ic, kh, kw = w.shape
@@ -313,31 +379,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         )
     _check_bias(b, oc, "conv2d")
 
-    out = _conv_core(x.data, w.data, stride, padding)
-    # the bias add also packs the core's cropped view
-    out = np.ascontiguousarray(out) if b is None else out + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
-
-    def bwd(g):
-        if x.requires_grad:
-            accumulate_grad(x, _conv_input_grad(g, w.data, stride, padding, (h, wd)))
-        if w.requires_grad:
-            accumulate_grad(w, _conv_weight_grad(x.data, g, stride, padding, (kh, kw)))
-        if b is not None and b.requires_grad:
-            accumulate_grad(b, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
-
-    return graph_out(out, parents, bwd)
+    return _conv_epilogue(
+        _conv_core(x.data, w.data, stride, padding), x, w, b, leaky,
+        lambda g: _conv_input_grad(g, w.data, stride, padding, (h, wd)),
+        lambda g: _conv_weight_grad(x.data, g, stride, padding, (kh, kw)),
+    )
 
 
 def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-                      stride: int = 2, padding: int = 1) -> Tensor:
+                      stride: int = 2, padding: int = 1,
+                      leaky: bool = False) -> Tensor:
     """Adjoint of the strided `conv2d` sharing the same weight layout.
 
     `w` has shape (in_channels, out_channels, kH, kW); the forward pass is
     exactly the input-gradient of a conv2d mapping out_channels to
     in_channels.  With the 4x4 / stride 2 / padding 1 configuration the
-    output spatial extents are exactly twice the input's.
+    output spatial extents are exactly twice the input's.  `leaky=True`
+    returns exactly `leaky_relu(transposed_conv2d(x, w, b, stride, padding))`
+    as one node.
     """
     n, c, h, wd = x.shape
     ic, oc, kh, kw = w.shape
@@ -357,21 +416,11 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         )
     _check_bias(b, oc, "transposed_conv2d")
 
-    out = _conv_input_grad(x.data, w.data, stride, padding, (oh, ow))
-    if b is not None:
-        out = out + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
-
-    def bwd(g):
-        if x.requires_grad:
-            accumulate_grad(x, _conv_core(g, w.data, stride, padding))
-        if w.requires_grad:
-            accumulate_grad(w, _conv_weight_grad(g, x.data, stride, padding, (kh, kw)))
-        if b is not None and b.requires_grad:
-            accumulate_grad(b, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
-
-    return graph_out(out, parents, bwd)
+    return _conv_epilogue(
+        _conv_input_grad(x.data, w.data, stride, padding, (oh, ow)), x, w, b, leaky,
+        lambda g: _conv_core(g, w.data, stride, padding),
+        lambda g: _conv_weight_grad(g, x.data, stride, padding, (kh, kw)),
+    )
 
 
 def maxpool2d(x: Tensor) -> Tensor:
@@ -405,19 +454,13 @@ def maxpool2d(x: Tensor) -> Tensor:
     return graph_out(out, (x,), bwd)
 
 
-LEAKY_SLOPE = 0.1
-
-
 def leaky_relu(x: Tensor) -> Tensor:
     """x for x >= 0 else LEAKY_SLOPE*x; the derivative at 0 is defined as 1."""
-    slope = x.dtype.type(LEAKY_SLOPE)
-    # max(x, slope*x) selects x exactly when x >= 0, because 0 <= slope <= 1
-    out = np.maximum(x.data, x.data * slope)
 
     def bwd(g):
-        accumulate_grad(x, np.where(x.data >= 0, g, g * slope))
+        accumulate_grad(x, _leaky_grad(g, x.data >= 0))
 
-    return graph_out(out, (x,), bwd)
+    return graph_out(_leaky(x.data), (x,), bwd)
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:

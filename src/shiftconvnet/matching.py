@@ -29,7 +29,6 @@ from .autograd import (
     conv2d,
     graph_out,
     hslice_pad,
-    leaky_relu,
 )
 
 CONV_THEN_CONCAT = "conv_then_concat"
@@ -140,13 +139,13 @@ def shift_conv_layer(left: Tensor, right: Tensor, cfg: ShiftConvConfig,
 
     if cfg.variant == CONV_THEN_CONCAT:
         groups = [
-            leaky_relu(conv2d(shift_concat(left, right, d), w, b, padding=1))
+            conv2d(shift_concat(left, right, d), w, b, padding=1, leaky=True)
             for d in cfg.scales()
         ]
         return concat_channels(groups)
 
     stacked = concat_channels([shift_concat(left, right, d) for d in cfg.scales()])
-    return leaky_relu(conv2d(stacked, w, b, padding=1))
+    return conv2d(stacked, w, b, padding=1, leaky=True)
 
 
 def correlation_1d(left: Tensor, right: Tensor, maxdisp: int) -> Tensor:
@@ -267,8 +266,7 @@ def auto_shift_conv(left_img: Tensor, right_img: Tensor, base_disp: np.ndarray,
     total = None
     for delta in range(-delta_range, delta_range + 1):
         warped = warp_horizontal(right_img, disp + delta)
-        branch = leaky_relu(
-            conv2d(concat_channels([left_img, warped]), w, b, padding=1)
-        )
+        branch = conv2d(concat_channels([left_img, warped]), w, b, padding=1,
+                        leaky=True)
         total = branch if total is None else add(total, branch)
     return total

@@ -21,7 +21,6 @@ from .autograd import (
     Tensor,
     concat_channels,
     conv2d,
-    leaky_relu,
     maxpool2d,
     transposed_conv2d,
 )
@@ -286,15 +285,15 @@ class ShiftConvNet:
             raise ContractViolation(
                 f"image extents must be divisible by 4; got {h}x{w}"
             )
-        x = leaky_relu(conv2d(image, self._p("feat.conv1.w"),
-                              self._p("feat.conv1.b"), padding=1))
-        x = leaky_relu(conv2d(x, self._p("feat.conv2.w"),
-                              self._p("feat.conv2.b"), padding=1))
+        x = conv2d(image, self._p("feat.conv1.w"),
+                   self._p("feat.conv1.b"), padding=1, leaky=True)
+        x = conv2d(x, self._p("feat.conv2.w"),
+                   self._p("feat.conv2.b"), padding=1, leaky=True)
         x = maxpool2d(x)
-        x = leaky_relu(conv2d(x, self._p("feat.conv3.w"),
-                              self._p("feat.conv3.b"), padding=1))
-        half = leaky_relu(conv2d(x, self._p("feat.conv4.w"),
-                                 self._p("feat.conv4.b"), padding=1))
+        x = conv2d(x, self._p("feat.conv3.w"),
+                   self._p("feat.conv3.b"), padding=1, leaky=True)
+        half = conv2d(x, self._p("feat.conv4.w"),
+                      self._p("feat.conv4.b"), padding=1, leaky=True)
         feat = maxpool2d(half)
         return feat, half, feat
 
@@ -314,13 +313,13 @@ class ShiftConvNet:
                 f"cost volume {tuple(cost_volume.shape)} and left features "
                 f"{tuple(left_feat.shape)} disagree spatially"
             )
-        redir = leaky_relu(conv2d(left_feat, self._p("redir.w"),
-                                  self._p("redir.b"), padding=1))
+        redir = conv2d(left_feat, self._p("redir.w"),
+                       self._p("redir.b"), padding=1, leaky=True)
         x = concat_channels([cost_volume, redir])
         skips = []
         for i in range(5, 9):
-            x = leaky_relu(conv2d(x, self._p(f"enc.conv{i}.w"),
-                                  self._p(f"enc.conv{i}.b"), padding=1))
+            x = conv2d(x, self._p(f"enc.conv{i}.w"),
+                       self._p(f"enc.conv{i}.b"), padding=1, leaky=True)
             x = maxpool2d(x)
             if i < 8:
                 skips.append(x)
@@ -341,8 +340,8 @@ class ShiftConvNet:
         x = bottleneck
         small = None
         for i in range(6):
-            x = leaky_relu(transposed_conv2d(x, self._p(f"dec.b{i + 1}.up.w"),
-                                             self._p(f"dec.b{i + 1}.up.b")))
+            x = transposed_conv2d(x, self._p(f"dec.b{i + 1}.up.w"),
+                                  self._p(f"dec.b{i + 1}.up.b"), leaky=True)
             skip = skips[i]
             if x.shape[0] != skip.shape[0] or x.shape[2:] != skip.shape[2:]:
                 raise ContractViolation(
@@ -350,8 +349,8 @@ class ShiftConvNet:
                     f"not match skip {tuple(skip.shape)}"
                 )
             x = concat_channels([x, skip])
-            x = leaky_relu(conv2d(x, self._p(f"dec.b{i + 1}.sm.w"),
-                                  self._p(f"dec.b{i + 1}.sm.b"), padding=1))
+            x = conv2d(x, self._p(f"dec.b{i + 1}.sm.w"),
+                       self._p(f"dec.b{i + 1}.sm.b"), padding=1, leaky=True)
             if i + 1 == small_at:
                 small = conv2d(x, self._p("head.small.w"),
                                self._p("head.small.b"), padding=1)
@@ -374,10 +373,10 @@ class ShiftConvNet:
                                 self._p("refine.match.w"),
                                 self._p("refine.match.b"))
         x = concat_channels([match, coarse_disp])
-        x = leaky_relu(conv2d(x, self._p("refine.c1.w"),
-                              self._p("refine.c1.b"), padding=1))
-        x = leaky_relu(conv2d(x, self._p("refine.c2.w"),
-                              self._p("refine.c2.b"), padding=1))
+        x = conv2d(x, self._p("refine.c1.w"),
+                   self._p("refine.c1.b"), padding=1, leaky=True)
+        x = conv2d(x, self._p("refine.c2.w"),
+                   self._p("refine.c2.b"), padding=1, leaky=True)
         return conv2d(x, self._p("refine.c3.w"), self._p("refine.c3.b"),
                       padding=1)
 

@@ -1,5 +1,7 @@
 """Autodiff core against naive references and finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -373,6 +375,98 @@ def test_leaky_relu_grad_check_away_from_kink():
     assert grad_check(lambda t: sum_all(leaky_relu(t)), x0) < GRAD_TOL
 
 
+def _fused_and_composed(op, x, w, b, tracked, **kw):
+    """Outputs and x/w/b gradients of op(..., leaky=True) and of
+    leaky_relu(op(...)), each from fresh leaves; the gradients are taken of
+    <out, c> for a fixed random c."""
+    runs = []
+    for fused in (True, False):
+        leaves = [Tensor(a.copy(), requires_grad=tracked)
+                  for a in (x, w) + (() if b is None else (b,))]
+        out = (op(*leaves, leaky=True, **kw) if fused
+               else leaky_relu(op(*leaves, **kw)))
+        runs.append([out.data])
+        if tracked:
+            c = Tensor(rand(out.shape, seed=40, dtype=x.dtype))
+            backward(sum_all(mul(out, c)))
+            runs[-1] += [t.grad for t in leaves]
+    return runs
+
+
+def _assert_bit_identical(runs):
+    for got, want in zip(*runs):
+        np.testing.assert_array_equal(got, want)  # NaN compares equal
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tracked", [False, True])
+@pytest.mark.parametrize("bias", [False, True])
+def test_fused_leaky_epilogue_is_bit_identical(dtype, tracked, bias):
+    x = rand((2, 3, 6, 7), seed=41, dtype=dtype)
+    b = rand((1, 4, 1, 1), seed=43, dtype=dtype) if bias else None
+    for stride in (1, 2):
+        w = rand((4, 3, 3, 3), seed=42, dtype=dtype)
+        _assert_bit_identical(_fused_and_composed(
+            conv2d, x, w, b, tracked, stride=stride, padding=1))
+        w = rand((3, 4, 4, 4), seed=44, dtype=dtype)
+        _assert_bit_identical(_fused_and_composed(
+            transposed_conv2d, x, w, b, tracked, stride=stride, padding=1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tracked", [False, True])
+def test_fused_leaky_epilogue_passes_special_values_through(dtype, tracked):
+    # a 1x1 kernel of weight 1 (and a -0.0 bias) leaves every input bit
+    # intact, so the epilogue sees the signed zeros, NaN, infinities and a
+    # negative subnormal whose 0.1-multiple rounds to -0.0: the mask must
+    # come from the input, not the output, for its derivative to be 0.1
+    tiny = np.finfo(dtype).smallest_subnormal
+    v = np.array([[[[-2.0, 0.0, 3.0, -0.5, -0.0, np.nan, -np.inf, np.inf,
+                     -tiny]]]], dtype=dtype)
+    w = np.ones((1, 1, 1, 1), dtype)
+    for b in (None, np.full((1, 1, 1, 1), -0.0, dtype)):
+        runs = _fused_and_composed(conv2d, v, w, b, tracked)
+        _assert_bit_identical(runs)
+        out = runs[0][0]
+        np.testing.assert_array_equal(np.signbit(out[..., :5]),
+                                      np.signbit(v[..., :5]))
+        assert out[0, 0, 0, 8] == 0 and np.signbit(out[0, 0, 0, 8])
+    if tracked:
+        x = Tensor(v[..., 8:], requires_grad=True)
+        backward(sum_all(conv2d(x, Tensor(w), leaky=True)))
+        assert x.grad.reshape(()) == dtype(0.1)
+
+
+def _off_kink(op, x0, w, b, **kw):
+    pre = op(x0, w, b, **kw).data
+    assert np.abs(pre).min() > 1e-2  # probes of 1e-5 never cross the kink
+    return lambda t: sum_all(op(t, w, b, leaky=True, **kw))
+
+
+def test_conv_leaky_grad_check():
+    w = Tensor(rand((2, 2, 3, 3), seed=45))
+    b = Tensor(rand((1, 2, 1, 1), seed=46))
+    x0 = Tensor(rand((1, 2, 5, 6), seed=47))
+    assert grad_check(_off_kink(conv2d, x0, w, b, padding=1), x0) < GRAD_TOL
+    assert grad_check(lambda t: sum_all(conv2d(x0, t, b, padding=1, leaky=True)),
+                      w) < GRAD_TOL
+    assert grad_check(lambda t: sum_all(conv2d(x0, w, t, padding=1, leaky=True)),
+                      b) < GRAD_TOL
+
+
+def test_tconv_leaky_grad_check():
+    wt = Tensor(rand((2, 2, 4, 4), seed=48))
+    b = Tensor(rand((1, 2, 1, 1), seed=49))
+    x0 = Tensor(rand((1, 2, 3, 4), seed=50))
+    assert grad_check(_off_kink(transposed_conv2d, x0, wt, b), x0) < GRAD_TOL
+    assert grad_check(lambda t: sum_all(transposed_conv2d(x0, t, b, leaky=True)),
+                      wt) < GRAD_TOL
+    assert grad_check(lambda t: sum_all(transposed_conv2d(x0, wt, t, leaky=True)),
+                      b) < GRAD_TOL
+
+
 def test_concat_slice_roundtrip():
     a = Tensor(rand((1, 2, 3, 4), seed=20), requires_grad=True)
     b = Tensor(rand((1, 3, 3, 4), seed=21), requires_grad=True)
@@ -466,6 +560,37 @@ def test_graph_pruned_without_requires_grad():
     x = Tensor(rand((1, 1, 2, 2)))
     out = sum_all(mul(x, x))
     assert out.requires_grad is False and out._parents == ()
+
+
+def _conv_chain():
+    x = Tensor(rand((1, 1, 5, 5), seed=33), requires_grad=True)
+    w1 = Tensor(rand((2, 1, 3, 3), seed=34), requires_grad=True)
+    w2 = Tensor(rand((1, 2, 3, 3), seed=35), requires_grad=True)
+    h1 = conv2d(x, w1, padding=1)
+    loss = sum_all(conv2d(h1, w2, padding=1))
+    return loss, weakref.ref(h1), (x, w1, w2)
+
+
+def test_backward_releases_the_graph_as_it_goes():
+    loss, h1, leaves = _conv_chain()
+    assert h1() is not None
+    backward(loss)
+    assert h1() is None  # nothing but the graph held the intermediate
+    assert all(t.grad is not None for t in leaves)
+    assert loss._parents == () and loss.grad is None
+
+
+def test_backward_over_a_released_graph_raises():
+    loss, _, _ = _conv_chain()
+    backward(loss)
+    with pytest.raises(ContractViolation, match="consumed"):
+        backward(loss)
+
+    x = Tensor(rand((1, 1, 3, 3), seed=36), requires_grad=True)
+    y = conv2d(x, Tensor(rand((1, 1, 3, 3), seed=37)), padding=1)
+    backward(sum_all(y))
+    with pytest.raises(ContractViolation, match="consumed"):
+        backward(sum_all(mul(y, y)))
 
 
 def test_elementwise_grad_checks():
