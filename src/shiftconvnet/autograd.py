@@ -33,6 +33,12 @@ run the same cores: a stride-s conv is a stride-1 conv with a ceil(k/s)
 kernel once `_fold` moves the s*s phases of map and kernel into channels
 (Shi et al., arXiv 1609.07009); `_unfold`, its adjoint, moves them back.
 
+`conv2d` also takes a sequence of inputs, which it convolves as the
+concatenation of their channels.  The padded buffer above (or the folded
+one) is the only place the inputs meet: each is written into its own
+channel range, and each takes its own channel slice of the input
+gradient, so the concatenation never exists as an array or a graph node.
+
 Both convolutions take `leaky=True` to apply `leaky_relu` to their biased
 result in place.  The values are those of `leaky_relu(conv(...))`, bit for
 bit, but the graph keeps a bool sign mask instead of the float
@@ -178,15 +184,24 @@ def backward(loss: Tensor):
 # convolution cores (shared by conv2d / transposed_conv2d forward + backward)
 # ---------------------------------------------------------------------------
 
-def _flat_pad(x: np.ndarray, p: int, kw: int) -> np.ndarray:
-    """Zero-pad by p and flatten rows: (N, C, H, W) -> (N, C, Hp*Wp + kW - 1).
+def _flat_pad(xs: Sequence[np.ndarray], p: int, hp: int, wp: int,
+              tail: int = 0) -> np.ndarray:
+    """Zero-pad and stack the inputs' channels into one flat-row buffer.
 
-    The kW - 1 trailing zeros let the last tap's run end inside the buffer.
+    Returns (N, C, hp*wp + tail) with C the inputs' channel total: each
+    input fills its own channel range, in order, at offset (p, p) of the
+    hp x wp grid, so the buffer equals the padded channel concatenation.
+    The stride-1 cores ask for kW - 1 trailing zeros, so that the last
+    tap's run ends inside the buffer.
     """
-    n, c, h, wd = x.shape
-    hp, wp = h + 2 * p, wd + 2 * p
-    xp = np.zeros((n, c, hp * wp + kw - 1), dtype=x.dtype)
-    xp[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, p : p + h, p : p + wd] = x
+    n, _, h, wd = xs[0].shape
+    c = sum(x.shape[1] for x in xs)
+    xp = np.zeros((n, c, hp * wp + tail), dtype=np.result_type(*xs))
+    grid = xp[:, :, : hp * wp].reshape(n, c, hp, wp)
+    lo = 0
+    for x in xs:
+        grid[:, lo : lo + x.shape[1], p : p + h, p : p + wd] = x
+        lo += x.shape[1]
     return xp
 
 
@@ -205,16 +220,16 @@ def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
-def _fold(x: np.ndarray, s: int, p: int) -> np.ndarray:
+def _fold(xs: Sequence[np.ndarray], s: int, p: int) -> np.ndarray:
     """Zero-pad by p up to a multiple of s and move the s*s phases into channels.
 
-    out[n, (c*s + r)*s + q, a, b] = xpad[n, c, a*s + r, b*s + q]
+    out[n, (c*s + r)*s + q, a, b] = xpad[n, c, a*s + r, b*s + q], with xpad
+    the inputs' padded channel concatenation.
     """
-    n, c, h, wd = x.shape
+    n, _, h, wd = xs[0].shape
     fh, fw = -(-(h + 2 * p) // s), -(-(wd + 2 * p) // s)
-    xp = np.zeros((n, c, fh * s, fw * s), dtype=x.dtype)
-    xp[:, :, p : p + h, p : p + wd] = x
-    return xp.reshape(n, c, fh, s, fw, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, -1, fh, fw)
+    xp = _flat_pad(xs, p, fh * s, fw * s)
+    return xp.reshape(n, -1, fh, s, fw, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, -1, fh, fw)
 
 
 def _unfold(f: np.ndarray, s: int, p: int, hw: tuple[int, int]) -> np.ndarray:
@@ -225,22 +240,24 @@ def _unfold(f: np.ndarray, s: int, p: int, hw: tuple[int, int]) -> np.ndarray:
     return np.ascontiguousarray(x[:, :, p : p + hw[0], p : p + hw[1]])
 
 
-def _conv_core(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+def _conv_core(xs: Sequence[np.ndarray], w: np.ndarray, stride: int,
+               padding: int) -> np.ndarray:
     """out[n,o,y,x] = sum_{c,i,j} w[o,c,i,j] * xpad[n,c,y*s+i,x*s+j].
 
-    The result is a cropped view of the padded-width grid.
+    xpad is the inputs' padded channel concatenation.  The result is a
+    cropped view of the padded-width grid.
     """
-    n, c, h, wd = x.shape
+    n, _, h, wd = xs[0].shape
     oc, ic, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
     if stride > 1:
-        out = _conv_core(_fold(x, stride, padding), _fold(w, stride, 0), 1, 0)
+        out = _conv_core((_fold(xs, stride, padding),), _fold((w,), stride, 0), 1, 0)
         return out[..., :oh, :ow]
     wp = wd + 2 * padding
     m = oh * wp
-    xp = _flat_pad(x, padding, kw)
-    acc = _tap_product(w[:, :, 0, 0], xp[:, :, :m], np.empty((n, oc, m), x.dtype))
+    xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
+    acc = _tap_product(w[:, :, 0, 0], xp[:, :, :m], np.empty((n, oc, m), xp.dtype))
     prod = np.empty_like(acc)
     for i in range(kh):
         for j in range(kw):
@@ -258,7 +275,7 @@ def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     h, wd = in_hw
     if stride > 1:
         fhw = (-(-(h + 2 * padding) // stride), -(-(wd + 2 * padding) // stride))
-        df = _conv_input_grad(dy, _fold(w, stride, 0), 1, 0, fhw)
+        df = _conv_input_grad(dy, _fold((w,), stride, 0), 1, 0, fhw)
         return _unfold(df, stride, padding, in_hw)
     hp, wp = h + 2 * padding, wd + 2 * padding
     m = oh * wp
@@ -273,20 +290,20 @@ def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     return np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + wd])
 
 
-def _conv_weight_grad(x: np.ndarray, dy: np.ndarray, stride: int, padding: int,
-                      kshape: tuple[int, int]) -> np.ndarray:
+def _conv_weight_grad(xs: Sequence[np.ndarray], dy: np.ndarray, stride: int,
+                      padding: int, kshape: tuple[int, int]) -> np.ndarray:
     """dw[o,c,i,j] = sum_{n,y,x} dy[n,o,y,x] * xpad[n,c,y*s+i,x*s+j]."""
     kh, kw = kshape
     if stride > 1:
         fk = (-(-kh // stride), -(-kw // stride))
-        dwf = _conv_weight_grad(_fold(x, stride, padding), dy, 1, 0, fk)
+        dwf = _conv_weight_grad((_fold(xs, stride, padding),), dy, 1, 0, fk)
         return _unfold(dwf, stride, 0, kshape)
-    n, c, h, wd = x.shape
+    n, _, h, wd = xs[0].shape
     _, oc, oh, ow = dy.shape
-    dw = np.zeros((oc, c, kh, kw), dtype=x.dtype)
     wp = wd + 2 * padding
     m = oh * wp
-    xp = _flat_pad(x, padding, kw)
+    xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
+    dw = np.zeros((oc, xp.shape[1], kh, kw), dtype=xp.dtype)
     dyf = _flat_grid(dy, wp)
     for i in range(kh):
         for j in range(kw):
@@ -318,15 +335,17 @@ def _leaky_grad(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, g, g * g.dtype.type(LEAKY_SLOPE))
 
 
-def _conv_epilogue(y: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
-                   leaky: bool, input_grad, weight_grad) -> Tensor:
+def _conv_epilogue(y: np.ndarray, xs: tuple[Tensor, ...], w: Tensor,
+                   b: Tensor | None, leaky: bool, input_grad,
+                   weight_grad) -> Tensor:
     """Add the bias, optionally apply leaky in place, and record the op.
 
-    `input_grad(g)` and `weight_grad(g)` are the core's adjoints.  The bias
-    add also packs the core's possibly cropped result, so the in-place
-    activation never writes into an operand.
+    `input_grad(g)` and `weight_grad(g)` are the core's adjoints; each of
+    the inputs `xs` takes its own channel range of `input_grad(g)`.  The
+    bias add also packs the core's possibly cropped result, so the
+    in-place activation never writes into an operand.
     """
-    parents = (x, w) if b is None else (x, w, b)
+    parents = (*xs, w) if b is None else (*xs, w, b)
     y = np.ascontiguousarray(y) if b is None else y + b.data
     mask = None
     if leaky:
@@ -337,8 +356,12 @@ def _conv_epilogue(y: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
     def bwd(g):
         if leaky:
             g = _leaky_grad(g, mask)
-        if x.requires_grad:
-            accumulate_grad(x, input_grad(g))
+        if any(x.requires_grad for x in xs):
+            dx = input_grad(g)
+            lo = 0
+            for x in xs:
+                accumulate_grad(x, dx[:, lo : lo + x.shape[1]])
+                lo += x.shape[1]
         if w.requires_grad:
             accumulate_grad(w, weight_grad(g))
         if b is not None and b.requires_grad:
@@ -351,16 +374,39 @@ def _conv_epilogue(y: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
 # forward operators
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
+def _stackable(tensors: Sequence[Tensor], op: str) -> tuple[Tensor, ...]:
+    """The inputs of a channel stack: at least one, equal in N, H and W."""
+    tensors = tuple(tensors)
+    if not tensors:
+        raise ContractViolation(f"{op} requires at least one input")
+    first = tensors[0]
+    for t in tensors[1:]:
+        if t.shape[0] != first.shape[0] or t.shape[2:] != first.shape[2:]:
+            raise ContractViolation(
+                f"{op} spatial/batch mismatch: {tuple(first.shape)} "
+                f"vs {tuple(t.shape)}"
+            )
+    return tensors
+
+
+def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0, leaky: bool = False) -> Tensor:
     """2D cross-correlation with zero padding.
 
-    `w` has shape (out_channels, in_channels, kH, kW) with odd kH, kW.
-    Output spatial extents are (H + 2p - kH)/s + 1 by (W + 2p - kW)/s + 1
-    and must be positive.  `leaky=True` returns exactly
-    `leaky_relu(conv2d(x, w, b, stride, padding))` as one node.
+    `x` is a Tensor or a non-empty sequence of Tensors with equal N, H and
+    W; a sequence is convolved as the concatenation of its channels, in
+    order, without that concatenation ever being built: each input is
+    padded into its own channel range of the one padded buffer, and
+    receives its own channel slice of the input gradient.  `w` has shape
+    (out_channels, in_channels, kH, kW) with odd kH, kW, in_channels being
+    the inputs' channel total.  Output spatial extents are
+    (H + 2p - kH)/s + 1 by (W + 2p - kW)/s + 1 and must be positive.
+    `leaky=True` returns exactly `leaky_relu(conv2d(x, w, b, stride,
+    padding))` as one node.
     """
-    n, c, h, wd = x.shape
+    xs = _stackable((x,) if isinstance(x, Tensor) else x, "conv2d")
+    n, _, h, wd = xs[0].shape
+    c = sum(t.shape[1] for t in xs)
     oc, ic, kh, kw = w.shape
     if c != ic:
         raise ContractViolation(
@@ -379,10 +425,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         )
     _check_bias(b, oc, "conv2d")
 
+    arrays = [t.data for t in xs]
     return _conv_epilogue(
-        _conv_core(x.data, w.data, stride, padding), x, w, b, leaky,
+        _conv_core(arrays, w.data, stride, padding), xs, w, b, leaky,
         lambda g: _conv_input_grad(g, w.data, stride, padding, (h, wd)),
-        lambda g: _conv_weight_grad(x.data, g, stride, padding, (kh, kw)),
+        lambda g: _conv_weight_grad(arrays, g, stride, padding, (kh, kw)),
     )
 
 
@@ -417,9 +464,10 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     _check_bias(b, oc, "transposed_conv2d")
 
     return _conv_epilogue(
-        _conv_input_grad(x.data, w.data, stride, padding, (oh, ow)), x, w, b, leaky,
-        lambda g: _conv_core(g, w.data, stride, padding),
-        lambda g: _conv_weight_grad(g, x.data, stride, padding, (kh, kw)),
+        _conv_input_grad(x.data, w.data, stride, padding, (oh, ow)), (x,), w, b,
+        leaky,
+        lambda g: _conv_core((g,), w.data, stride, padding),
+        lambda g: _conv_weight_grad((g,), x.data, stride, padding, (kh, kw)),
     )
 
 
@@ -465,15 +513,7 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     """Concatenate along the channel axis, order preserved."""
-    if len(tensors) == 0:
-        raise ContractViolation("concat_channels requires at least one input")
-    first = tensors[0]
-    for t in tensors[1:]:
-        if t.shape[0] != first.shape[0] or t.shape[2:] != first.shape[2:]:
-            raise ContractViolation(
-                f"concat_channels spatial/batch mismatch: {tuple(first.shape)} "
-                f"vs {tuple(t.shape)}"
-            )
+    tensors = _stackable(tensors, "concat_channels")
     out = np.concatenate([t.data for t in tensors], axis=1)
     sizes = [t.shape[1] for t in tensors]
     offsets = np.cumsum([0] + sizes)

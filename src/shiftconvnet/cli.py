@@ -12,6 +12,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .autograd import ContractViolation, Tensor
 from .config import (
     DATA_KEYS,
@@ -206,10 +208,15 @@ def _cmd_infer(args) -> int:
             f"checkpoint expects {model.config.image_channels}-channel "
             f"images; got {left.shape[0]}"
         )
+    # the network needs extents divisible by 64: zero-pad right and bottom,
+    # then crop the prediction back (as PSMNet does)
+    h, w = left.shape[1:]
+    pad = ((0, 0), (0, -h % 64), (0, -w % 64))
     with frozen_params(model):
-        out = model.forward(Tensor(left[None]), Tensor(right[None]))
+        out = model.forward(Tensor(np.pad(left, pad)[None]),
+                            Tensor(np.pad(right, pad)[None]))
     best = out.refined_disp if out.refined_disp is not None else out.coarse_disp
-    pred = best.data[0, 0]
+    pred = best.data[0, 0, :h, :w]
     path = Path(args.out)
     if path.suffix == ".pfm":
         path.write_bytes(write_pfm(pred))

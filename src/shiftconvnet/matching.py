@@ -87,27 +87,31 @@ class ShiftConvConfig:
         return (self.clue_filters * s, 2 * feat_channels * s, 3, 3)
 
 
+def _shift_pair(left: Tensor, right: Tensor, d: int) -> tuple[Tensor, Tensor]:
+    """(shifted, other): the pair aligned at displacement d.
+
+    d >= 0 slices the left map from column d (zeros on the right) and pairs
+    it with the right map; d < 0 slices the right map with left-side zero
+    padding and pairs it with the left map.
+    """
+    if d >= 0:
+        return hslice_pad(left, d), right
+    return hslice_pad(right, d), left
+
+
 def shift_concat(left: Tensor, right: Tensor, displacement: int) -> Tensor:
     """Align the pair at one displacement and stack channels.
 
-    d >= 0: the left map sliced from column d (zeros on the right) is
-    concatenated with the right map.  d < 0: the right map sliced with
-    left-side zero padding is concatenated with the left map.  Output has
-    2C channels and unchanged spatial extents.
+    The shifted map's channels come first, then the other map's (see
+    `_shift_pair` for which map shifts).  Output has 2C channels and
+    unchanged spatial extents.
     """
     if left.shape != right.shape:
         raise ContractViolation(
             f"shift_concat shape mismatch: {tuple(left.shape)} vs "
             f"{tuple(right.shape)}"
         )
-    d = int(displacement)
-    if abs(d) >= left.shape[3]:
-        raise ContractViolation(
-            f"|displacement| {abs(d)} must be < width {left.shape[3]}"
-        )
-    if d >= 0:
-        return concat_channels([hslice_pad(left, d), right])
-    return concat_channels([hslice_pad(right, d), left])
+    return concat_channels(_shift_pair(left, right, int(displacement)))
 
 
 def shift_conv_layer(left: Tensor, right: Tensor, cfg: ShiftConvConfig,
@@ -115,11 +119,12 @@ def shift_conv_layer(left: Tensor, right: Tensor, cfg: ShiftConvConfig,
     """Learned cost volume over the configured displacement sweep.
 
     CONV_THEN_CONCAT applies one shared 3x3 (2C -> F) convolution plus
-    activation to every shift_concat result and concatenates the S outputs.
-    CONCAT_THEN_CONV concatenates all S shift_concat outputs first and runs
-    a single 3x3 (2C*S -> F*S) convolution plus activation.  Either way the
-    output is (N, F*S, H, W) and channel group k (channels k*F..(k+1)*F-1)
-    belongs to scale index k of `cfg.scales()`.
+    activation to every aligned pair and concatenates the S outputs.
+    CONCAT_THEN_CONV runs a single 3x3 (2C*S -> F*S) convolution plus
+    activation over all S aligned pairs.  Either way the output is
+    (N, F*S, H, W) and channel group k (channels k*F..(k+1)*F-1) belongs
+    to scale index k of `cfg.scales()`.  The pairs are `conv2d` input
+    sequences, so their channel concatenation is never built.
     """
     if left.shape != right.shape:
         raise ContractViolation(
@@ -139,13 +144,13 @@ def shift_conv_layer(left: Tensor, right: Tensor, cfg: ShiftConvConfig,
 
     if cfg.variant == CONV_THEN_CONCAT:
         groups = [
-            conv2d(shift_concat(left, right, d), w, b, padding=1, leaky=True)
+            conv2d(_shift_pair(left, right, d), w, b, padding=1, leaky=True)
             for d in cfg.scales()
         ]
         return concat_channels(groups)
 
-    stacked = concat_channels([shift_concat(left, right, d) for d in cfg.scales()])
-    return conv2d(stacked, w, b, padding=1, leaky=True)
+    parts = [t for d in cfg.scales() for t in _shift_pair(left, right, d)]
+    return conv2d(parts, w, b, padding=1, leaky=True)
 
 
 def correlation_1d(left: Tensor, right: Tensor, maxdisp: int) -> Tensor:
@@ -246,8 +251,8 @@ def auto_shift_conv(left_img: Tensor, right_img: Tensor, base_disp: np.ndarray,
     """Disparity-guided matching map on the image pair.
 
     For each delta in [-delta_range, delta_range] the right image is warped
-    by base_disp + delta, channel-concatenated with the left image, and run
-    through one shared 3x3 convolution plus activation; the per-delta
+    by base_disp + delta and, after the left image's channels, run through
+    one shared 3x3 convolution plus activation; the per-delta
     results are summed elementwise, so the output channel count equals the
     filter count regardless of how many deltas are swept.
     """
@@ -266,7 +271,6 @@ def auto_shift_conv(left_img: Tensor, right_img: Tensor, base_disp: np.ndarray,
     total = None
     for delta in range(-delta_range, delta_range + 1):
         warped = warp_horizontal(right_img, disp + delta)
-        branch = conv2d(concat_channels([left_img, warped]), w, b, padding=1,
-                        leaky=True)
+        branch = conv2d((left_img, warped), w, b, padding=1, leaky=True)
         total = branch if total is None else add(total, branch)
     return total

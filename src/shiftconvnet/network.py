@@ -19,7 +19,6 @@ import numpy as np
 from .autograd import (
     ContractViolation,
     Tensor,
-    concat_channels,
     conv2d,
     maxpool2d,
     transposed_conv2d,
@@ -315,7 +314,7 @@ class ShiftConvNet:
             )
         redir = conv2d(left_feat, self._p("redir.w"),
                        self._p("redir.b"), padding=1, leaky=True)
-        x = concat_channels([cost_volume, redir])
+        x = (cost_volume, redir)
         skips = []
         for i in range(5, 9):
             x = conv2d(x, self._p(f"enc.conv{i}.w"),
@@ -348,8 +347,7 @@ class ShiftConvNet:
                     f"decode block {i + 1}: upsampled {tuple(x.shape)} does "
                     f"not match skip {tuple(skip.shape)}"
                 )
-            x = concat_channels([x, skip])
-            x = conv2d(x, self._p(f"dec.b{i + 1}.sm.w"),
+            x = conv2d((x, skip), self._p(f"dec.b{i + 1}.sm.w"),
                        self._p(f"dec.b{i + 1}.sm.b"), padding=1, leaky=True)
             if i + 1 == small_at:
                 small = conv2d(x, self._p("head.small.w"),
@@ -372,8 +370,7 @@ class ShiftConvNet:
         match = auto_shift_conv(left_image, right_image, base,
                                 self._p("refine.match.w"),
                                 self._p("refine.match.b"))
-        x = concat_channels([match, coarse_disp])
-        x = conv2d(x, self._p("refine.c1.w"),
+        x = conv2d((match, coarse_disp), self._p("refine.c1.w"),
                    self._p("refine.c1.b"), padding=1, leaky=True)
         x = conv2d(x, self._p("refine.c2.w"),
                    self._p("refine.c2.b"), padding=1, leaky=True)

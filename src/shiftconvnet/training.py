@@ -21,7 +21,7 @@ import numpy as np
 
 from .autograd import ContractViolation, Tensor, backward
 from .data import CodecError, StereoSample, resize_nearest
-from .losses import LossConfig, d1_rate, epe, loss1, loss2
+from .losses import LossConfig, d1_rate, epe, loss1, loss2, valid_mask
 from .matching import CONCAT_THEN_CONV, CONV_THEN_CONCAT, ShiftConvConfig
 from .network import (
     CORRELATION,
@@ -393,6 +393,19 @@ def render_table(header, rows, width: int | None = None) -> str:
 
 
 @dataclass
+class EvalRow:
+    """One sample's metrics.  A sample whose ground truth has no valid pixel
+    has `valid_pixels == 0` and no metrics; the refined pair is None also
+    when the sample has no refined map."""
+    sample: str
+    valid_pixels: int
+    epe: float | None = None
+    d1: float | None = None
+    refined_epe: float | None = None
+    refined_d1: float | None = None
+
+
+@dataclass
 class EvalReport:
     rows: list
     mean_epe: float
@@ -402,17 +415,22 @@ class EvalReport:
     mean_forward_seconds: float
 
     def _table(self, d1_name: str, places: int) -> tuple:
-        """Header and rows, one per sample then the mean: EPE with `places`
-        decimals, D1 in percent with two fewer, and the refined columns
-        only when every sample has them."""
+        """Header and rows, one per sample then the mean over the samples
+        with valid pixels: EPE with `places` decimals, D1 in percent with
+        two fewer, n/a for a sample without valid pixels, and the refined
+        columns only when every sample has a refined map."""
         prefixes = [""] if self.refined_mean_epe is None else ["", "refined_"]
         header = ["sample"] + [p + n for p in prefixes for n in ("epe", d1_name)]
-        mean = {"sample": "mean", "epe": self.mean_epe, "d1": self.mean_d1,
-                "refined_epe": self.refined_mean_epe,
-                "refined_d1": self.refined_mean_d1}
-        rows = [[r["sample"]] + [cell for p in prefixes for cell in (
-                    f"{r[p + 'epe']:.{places}f}",
-                    f"{100 * r[p + 'd1']:.{places - 2}f}")]
+        mean = EvalRow("mean", sum(r.valid_pixels for r in self.rows),
+                       self.mean_epe, self.mean_d1, self.refined_mean_epe,
+                       self.refined_mean_d1)
+
+        def cell(value, scale, digits):
+            return "n/a" if value is None else f"{scale * value:.{digits}f}"
+
+        rows = [[r.sample] + [c for p in prefixes for c in (
+                    cell(getattr(r, p + "epe"), 1, places),
+                    cell(getattr(r, p + "d1"), 100, places - 2))]
                 for r in self.rows + [mean]]
         return header, rows
 
@@ -468,6 +486,9 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
              predict=None) -> EvalReport:
     """Per-sample EPE/D1 plus mean forward wall time (see `forward_seconds`).
 
+    A sample whose ground truth has no valid pixel gets a row with
+    `valid_pixels == 0` and no metrics, and stays out of the means; when no
+    sample has a valid pixel, the evaluation raises `ContractViolation`.
     `predict(sample) -> (coarse (H,W), refined (H,W) or None)` can be
     injected for metric plumbing tests; the default runs the model.  The
     model is left untouched (gradients frozen during the run, restored
@@ -484,30 +505,37 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
         have_refined = True
         for i, sample in enumerate(samples):
             coarse, refined = fn(sample)
-            row = {"sample": f"{i:06d}",
-                   "epe": epe(coarse, sample.gt_disp),
-                   "d1": d1_rate(coarse, sample.gt_disp)}
+            gt = sample.gt_disp
+            row = EvalRow(f"{i:06d}", int(np.count_nonzero(valid_mask(gt))))
+            if row.valid_pixels:
+                row.epe, row.d1 = epe(coarse, gt), d1_rate(coarse, gt)
             if refined is None:
                 have_refined = False
-            else:
-                row["refined_epe"] = epe(refined, sample.gt_disp)
-                row["refined_d1"] = d1_rate(refined, sample.gt_disp)
+            elif row.valid_pixels:
+                row.refined_epe = epe(refined, gt)
+                row.refined_d1 = d1_rate(refined, gt)
             rows.append(row)
+        scored = [r for r in rows if r.valid_pixels]
+        if not scored:
+            raise ContractViolation(
+                f"none of the {len(rows)} evaluation samples has a valid "
+                f"ground-truth pixel"
+            )
 
         [seconds] = forward_seconds(
             [lambda i: fn(samples[i % len(samples)])], warmup, timed_forwards)
 
-    report = EvalReport(
+    def mean(key):
+        return float(np.mean([getattr(r, key) for r in scored]))
+
+    return EvalReport(
         rows=rows,
-        mean_epe=float(np.mean([r["epe"] for r in rows])),
-        mean_d1=float(np.mean([r["d1"] for r in rows])),
-        refined_mean_epe=(float(np.mean([r["refined_epe"] for r in rows]))
-                          if have_refined else None),
-        refined_mean_d1=(float(np.mean([r["refined_d1"] for r in rows]))
-                         if have_refined else None),
+        mean_epe=mean("epe"),
+        mean_d1=mean("d1"),
+        refined_mean_epe=mean("refined_epe") if have_refined else None,
+        refined_mean_d1=mean("refined_d1") if have_refined else None,
         mean_forward_seconds=seconds,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

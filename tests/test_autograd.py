@@ -490,6 +490,82 @@ def test_concat_shape_mismatch():
         concat_channels([Tensor(rand((1, 1, 2, 2))), Tensor(rand((1, 1, 2, 3)))])
 
 
+# ---------------------------------------------------------------------------
+# conv2d over a sequence of inputs
+# ---------------------------------------------------------------------------
+
+def _sequence_and_concat(parts, w, b, tracked, **kw):
+    """Outputs and gradients of conv2d(parts, ...) and of
+    conv2d(concat_channels(parts), ...), each from fresh leaves.  `tracked`
+    says which parts require grad; w and b do when any part does.  The
+    gradients are taken of <out, c> for a fixed random c."""
+    runs = []
+    for as_sequence in (True, False):
+        xs = [Tensor(a.copy(), requires_grad=t) for a, t in zip(parts, tracked)]
+        params = [Tensor(a.copy(), requires_grad=any(tracked))
+                  for a in (w,) + (() if b is None else (b,))]
+        x = xs if as_sequence else concat_channels(xs)
+        out = conv2d(x, *params, **kw)
+        runs.append([out.data])
+        if any(tracked):
+            c = Tensor(rand(out.shape, seed=52, dtype=w.dtype))
+            backward(sum_all(mul(out, c)))
+            runs[-1] += [t.grad for t in xs + params if t.requires_grad]
+    return runs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tracked", [(False, False), (True, True), (False, True)])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_conv_sequence_is_bit_identical_to_concat(dtype, tracked, bias, leaky):
+    parts = (rand((2, 2, 6, 7), seed=53, dtype=dtype),
+             rand((2, 3, 6, 7), seed=54, dtype=dtype))
+    w = rand((4, 5, 3, 3), seed=55, dtype=dtype)
+    b = rand((1, 4, 1, 1), seed=56, dtype=dtype) if bias else None
+    for stride in (1, 2):
+        runs = _sequence_and_concat(parts, w, b, tracked, stride=stride,
+                                    padding=1, leaky=leaky)
+        want = 1 + sum(tracked) + (1 + bias) * any(tracked)
+        assert len(runs[0]) == len(runs[1]) == want
+        _assert_bit_identical(runs)
+
+
+def test_conv_single_tensor_is_a_one_element_sequence():
+    x = Tensor(rand((1, 2, 5, 6), seed=57))
+    w, b = Tensor(rand((3, 2, 3, 3), seed=58)), Tensor(rand((1, 3, 1, 1), seed=59))
+    np.testing.assert_array_equal(conv2d(x, w, b, padding=1).data,
+                                  conv2d([x], w, b, padding=1).data)
+
+
+@pytest.mark.parametrize("parts, match", [
+    ([], "at least one"),
+    ([(1, 2, 4, 4), (2, 1, 4, 4)], "mismatch"),
+    ([(1, 2, 4, 4), (1, 1, 5, 4)], "mismatch"),
+    ([(1, 2, 4, 4), (1, 1, 4, 5)], "mismatch"),
+    ([(1, 2, 4, 4), (1, 2, 4, 4)], "channels"),
+], ids=["empty", "batch", "height", "width", "channel-sum"])
+def test_conv_sequence_contract(parts, match):
+    with pytest.raises(ContractViolation, match=match):
+        conv2d([Tensor(rand(s)) for s in parts], Tensor(rand((2, 3, 3, 3))),
+               padding=1)
+
+
+def test_conv_sequence_grad_check():
+    a0 = Tensor(rand((1, 2, 5, 6), seed=60))
+    b0 = Tensor(rand((1, 1, 5, 6), seed=61))
+    w = Tensor(rand((2, 3, 3, 3), seed=62))
+    bias = Tensor(rand((1, 2, 1, 1), seed=63))
+
+    def conv(a, b, w_, bias_):
+        return sum_all(conv2d((a, b), w_, bias_, padding=1))
+
+    assert grad_check(lambda t: conv(t, b0, w, bias), a0) < GRAD_TOL
+    assert grad_check(lambda t: conv(a0, t, w, bias), b0) < GRAD_TOL
+    assert grad_check(lambda t: conv(a0, b0, t, bias), w) < GRAD_TOL
+    assert grad_check(lambda t: conv(a0, b0, w, t), bias) < GRAD_TOL
+
+
 def test_hslice_pad_examples():
     x = Tensor(np.array([[[[1.0, 2.0, 3.0, 4.0]]]]))
     np.testing.assert_array_equal(hslice_pad(x, 1).data, [[[[2, 3, 4, 0]]]])

@@ -2,7 +2,7 @@
 
 import re
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from shiftconvnet.training import (
     checkpoint_bytes,
     load_checkpoint,
     read_checkpoint_blob,
+    save_checkpoint,
 )
 
 TINY_LINES = {
@@ -454,6 +455,44 @@ def test_cli_infer_mismatched_pair_exits_2(tmp_path, capsys):
     assert main(["infer", "--ckpt", str(ckpt), "--left", str(a),
                  "--right", str(b), "--out", str(tmp_path / "o.pfm")]) == 2
     assert "disagree" in capsys.readouterr().err
+
+
+def tiny_checkpoint(path):
+    save_checkpoint(path, ShiftConvNet(tiny_config(), seed=0), None, 0, 1)
+    return str(path)
+
+
+def test_cli_eval_sample_without_valid_ground_truth(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path / "m.scnc")
+    good = gen_synthetic_pair(SynthConfig(width=64, height=64))
+    negative = replace(good, gt_disp=np.full_like(good.gt_disp, -1.0))
+    non_finite = replace(good, gt_disp=np.full_like(good.gt_disp, np.nan))
+    data = tmp_path / "data"
+    write_dataset(data, [good, negative])
+    csv_path = tmp_path / "report.csv"
+    assert main(["eval", "--ckpt", ckpt, "--data", str(data),
+                 "--csv", str(csv_path)]) == 0
+    assert re.search(r"^ *000001 +n/a +n/a", capsys.readouterr().out, re.M)
+    assert "\n000001,n/a,n/a" in csv_path.read_text()
+
+    write_dataset(tmp_path / "none", [negative, non_finite])
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "none")]) == 2
+    assert "valid ground-truth pixel" in capsys.readouterr().err
+
+
+def test_cli_infer_pads_any_extent_and_crops_back(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path / "m.scnc")
+    rng = np.random.default_rng(0)
+    pair = []
+    for name in ("l.pgm", "r.pgm"):
+        path = tmp_path / name
+        path.write_bytes(write_pnm(rng.random((1, 70, 100)).astype(np.float32)))
+        pair.append(str(path))
+    out = tmp_path / "pred.pfm"
+    assert main(["infer", "--ckpt", ckpt, "--left", pair[0], "--right", pair[1],
+                 "--out", str(out)]) == 0
+    pred = read_pfm(out.read_bytes())
+    assert pred.shape == (70, 100) and np.all(np.isfinite(pred))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -3,10 +3,12 @@
 import re
 import struct
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from shiftconvnet import training
 from shiftconvnet.autograd import ContractViolation, Tensor
 from shiftconvnet.data import CodecError, SynthConfig, gen_synthetic_pair
 from shiftconvnet.network import (
@@ -468,6 +470,47 @@ def test_resume_replays_the_straight_run_bit_for_bit(tmp_path):
                                       straight.params[name].data, err_msg=name)
 
 
+def _recorded_nodes(loss):
+    """Every op output reachable from `loss` through `_parents` that holds
+    a backward closure: the nodes the graph records."""
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._backward is not None:
+                nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("stage, count", [(1, 70), (2, 83)])
+def test_desk_step_graph_holds_one_concatenation(monkeypatch, stage, count):
+    # conv2d takes its joined inputs as a sequence, so the only channel
+    # concatenation left is the cost volume's stack of per-scale groups.
+    # A stage-1 step records 71 nodes; the small head's is off the path of
+    # the stage-1 loss, so 70 are reachable from it.
+    graphs = []
+    real_backward = training.backward
+
+    def inspecting(loss):
+        # backward releases the closures, so name the ops before it runs
+        graphs.append([(t._backward.__qualname__, t.shape)
+                       for t in _recorded_nodes(loss)])
+        real_backward(loss)
+
+    monkeypatch.setattr(training, "backward", inspecting)
+    model = ShiftConvNet(desk_config(), seed=0)
+    samples = [gen_synthetic_pair(SynthConfig(width=128, height=64))]
+    train_stage(model, Adam(model.params), samples, TrainConfig(batch_size=1),
+                stage=stage, iterations=1)
+    [nodes] = graphs
+    assert len(nodes) == count
+    concats = [shape for op, shape in nodes
+               if op.startswith("concat_channels.")]
+    assert concats == [(1, 8 * 17, 16, 32)]
+
+
 # ---------------------------------------------------------------------------
 # evaluation harness
 # ---------------------------------------------------------------------------
@@ -503,6 +546,35 @@ def test_evaluate_metrics_against_hand_values():
     assert r.refined_mean_d1 == 0.0
     assert "100.00" in r.text_table()
     assert "mean,4.000000,100.0000,1.000000,0.0000" in r.csv()
+
+
+def test_evaluate_sample_without_valid_pixels_gets_an_empty_row():
+    samples = tiny_samples(3)
+    no_valid = np.full_like(samples[1].gt_disp, -1.0)
+    no_valid[::2] = np.nan
+    no_valid[1::4] = -np.inf
+    samples[1] = replace(samples[1], gt_disp=no_valid)
+
+    def off_by(sample):
+        return sample.gt_disp + 4.0, sample.gt_disp + 1.0
+
+    r = evaluate(ShiftConvNet(tiny_config(), seed=0), samples,
+                 predict=off_by, warmup=0, timed_forwards=1)
+    assert [row.valid_pixels for row in r.rows] == [64 * 64, 0, 64 * 64]
+    empty = r.rows[1]
+    assert (empty.epe, empty.d1, empty.refined_epe, empty.refined_d1) == (None,) * 4
+    # the means cover the two scored samples only
+    assert r.mean_epe == pytest.approx(4.0) and r.mean_d1 == 1.0
+    assert r.refined_mean_epe == pytest.approx(1.0) and r.refined_mean_d1 == 0.0
+    assert "000001,n/a,n/a,n/a,n/a\n" in r.csv()
+    assert "mean,4.000000,100.0000,1.000000,0.0000" in r.csv()
+    [line] = [l for l in r.text_table().splitlines() if "000001" in l]
+    assert line.split() == ["000001"] + ["n/a"] * 4
+
+    samples[0] = samples[2] = samples[1]
+    with pytest.raises(ContractViolation, match="valid ground-truth pixel"):
+        evaluate(ShiftConvNet(tiny_config(), seed=0), samples,
+                 predict=off_by, warmup=0, timed_forwards=1)
 
 
 def test_evaluate_predict_call_pattern():
