@@ -24,14 +24,27 @@ Stride-1 convolutions work on a flat-offset layout.  The input is
 zero-padded once into an (N, C, Hp*Wp + kW - 1) buffer whose rows are
 flattened, with Hp, Wp the padded extents.  Computed over the padded width,
 output pixel m = y*Wp + x reads tap (i, j) at flat index m + i*Wp + j, so
-each tap's operand for all oH*Wp pixels is one contiguous run starting at
-offset i*Wp + j: a view that goes straight to one GEMM per tap, where
-slicing the (N, C, H, W) map would copy it.  The last kW - 1 columns of
-each output row straddle a row boundary; the forward crops them once, and
-the gradients zero them in dy first.  Strided and transposed convolutions
-run the same cores: a stride-s conv is a stride-1 conv with a ceil(k/s)
-kernel once `_fold` moves the s*s phases of map and kernel into channels
-(Shi et al., arXiv 1609.07009); `_unfold`, its adjoint, moves them back.
+each tap's operand for a run of pixels is one contiguous run of the buffer,
+offset by i*Wp + j.  The last kW - 1 columns of each output row straddle a
+row boundary; the forward crops them once, and the weight gradient zeroes
+them in dy first.  How the taps meet the kernel depends on its shape.  When
+in_channels <= out_channels, `_tap_columns` stacks the kH*kW runs of a
+block of whole output rows into one (C*kH*kW, rows*Wp) matrix (im2col,
+Chellapilla et al. 2006), so the block is one GEMM with a reduction of
+C*kH*kW; blocks hold at most `TAP_BLOCK_BYTES` per image, so the copy
+stays in cache and out of peak memory (as in MEC, Cho and Brand, arXiv
+1706.06873).  Otherwise each tap is one GEMM straight on its run, and kH*kW
+partial products are added up.  The rule weighs what each tap costs per
+pixel beyond its multiply-adds: the stacked copy moves C values, the
+per-tap sum adds out_channels values into the output, and a per-tap GEMM
+whose reduction is only C is thin exactly when C is the smaller side.  The
+input gradient is the same forward core run on dy, with the kernel flipped
+in both axes and its channel axes exchanged, padded by k - 1 - p: the full
+correlation.  It therefore takes its path by the same rule with the
+channels exchanged.  Strided and transposed convolutions run the same
+cores: a stride-s conv is a stride-1 conv with a ceil(k/s) kernel once
+`_fold` moves the s*s phases of map and kernel into channels (Shi et al.,
+arXiv 1609.07009); `_unfold`, its adjoint, moves them back.
 
 `conv2d` also takes a sequence of inputs, which it convolves as the
 concatenation of their channels.  The padded buffer above (or the folded
@@ -220,6 +233,35 @@ def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
+# bytes of one image's column block: small enough to stay in cache and out
+# of peak RSS (1 MiB blocks raised a 64x128 training step's peak by about
+# 1 MB), large enough that each GEMM amortises its call
+TAP_BLOCK_BYTES = 1 << 18
+
+
+def _tap_columns(xp: np.ndarray, kh: int, kw: int, wp: int, oh: int):
+    """Yield (lo, hi, col): the taps of output pixels lo..hi-1 stacked as rows.
+
+    col[n, (c*kh + i)*kw + j, m - lo] = xp[n, c, m + i*wp + j], so the
+    (oc, ic*kh*kw) reshape of a weight times col gives those pixels'
+    outputs in one GEMM.  Blocks are whole rows of the padded-width grid,
+    sized from one image's bytes so that they do not depend on N.
+    """
+    n, c, _ = xp.shape
+    t = kh * kw
+    rows = max(1, min(oh, TAP_BLOCK_BYTES // (c * t * wp * xp.itemsize)))
+    buf = np.empty((n, c, kh, kw, rows * wp), xp.dtype)
+    sn, sc, se = xp.strides
+    for r in range(0, oh, rows):
+        lo, hi = r * wp, min(r + rows, oh) * wp
+        taps = np.lib.stride_tricks.as_strided(
+            xp[:, :, lo:], (n, c, kh, kw, hi - lo), (sn, sc, wp * se, se, se),
+            writeable=False)
+        col = buf[..., : hi - lo]
+        col[...] = taps
+        yield lo, hi, col.reshape(n, c * t, hi - lo)
+
+
 def _fold(xs: Sequence[np.ndarray], s: int, p: int) -> np.ndarray:
     """Zero-pad by p up to a multiple of s and move the s*s phases into channels.
 
@@ -257,37 +299,43 @@ def _conv_core(xs: Sequence[np.ndarray], w: np.ndarray, stride: int,
     wp = wd + 2 * padding
     m = oh * wp
     xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
-    acc = _tap_product(w[:, :, 0, 0], xp[:, :, :m], np.empty((n, oc, m), xp.dtype))
-    prod = np.empty_like(acc)
-    for i in range(kh):
-        for j in range(kw):
-            if i or j:
-                off = i * wp + j
-                acc += _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod)
+    acc = np.empty((n, oc, m), xp.dtype)
+    if ic <= oc:
+        w2 = w.reshape(oc, ic * kh * kw)
+        for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
+            _tap_product(w2, col, acc[:, :, lo:hi])
+    else:
+        _tap_product(w[:, :, 0, 0], xp[:, :, :m], acc)
+        prod = np.empty_like(acc)
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    off = i * wp + j
+                    acc += _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod)
     return acc.reshape(n, oc, oh, wp)[..., :ow]
 
 
 def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                      in_hw: tuple[int, int]) -> np.ndarray:
-    """Adjoint of `_conv_core` in its input: scatter dy back through w."""
-    n, oc, oh, ow = dy.shape
-    _, ic, kh, kw = w.shape
+    """Adjoint of `_conv_core` in its input: the full correlation of dy
+    with the flipped, transposed kernel."""
+    _, _, kh, kw = w.shape
     h, wd = in_hw
     if stride > 1:
         fhw = (-(-(h + 2 * padding) // stride), -(-(wd + 2 * padding) // stride))
         df = _conv_input_grad(dy, _fold((w,), stride, 0), 1, 0, fhw)
-        return _unfold(df, stride, padding, in_hw)
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    m = oh * wp
-    dyf = _flat_grid(dy, wp)
-    dxp = np.zeros((n, ic, hp * wp + kw - 1), dtype=dy.dtype)
-    prod = np.empty((n, ic, m), dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            off = i * wp + j
-            dxp[:, :, off : off + m] += _tap_product(w[:, :, i, j].T, dyf, prod)
-    dxp = dxp[:, :, : hp * wp].reshape(n, ic, hp, wp)
-    return np.ascontiguousarray(dxp[:, :, padding : padding + h, padding : padding + wd])
+        # when s does not divide H + 2p, the fold's last rows and columns can
+        # lie beyond every tap's reach: their gradient is zero
+        fill = ((0, 0), (0, 0), (0, fhw[0] - df.shape[2]), (0, fhw[1] - df.shape[3]))
+        return _unfold(np.pad(df, fill) if df.shape[2:] != fhw else df,
+                       stride, padding, in_hw)
+    # the full correlation pads dy by k - 1 - padding on each axis; the core
+    # pads both axes by q, and the crop removes what that adds beyond it, or
+    # what a padding > k - 1 would have cut off
+    qh, qw = kh - 1 - padding, kw - 1 - padding
+    q = max(qh, qw, 0)
+    dx = _conv_core((dy,), w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, q)
+    return dx[..., q - qh : q - qh + h, q - qw : q - qw + wd]
 
 
 def _conv_weight_grad(xs: Sequence[np.ndarray], dy: np.ndarray, stride: int,
@@ -303,8 +351,14 @@ def _conv_weight_grad(xs: Sequence[np.ndarray], dy: np.ndarray, stride: int,
     wp = wd + 2 * padding
     m = oh * wp
     xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
-    dw = np.zeros((oc, xp.shape[1], kh, kw), dtype=xp.dtype)
+    ic = xp.shape[1]
     dyf = _flat_grid(dy, wp)
+    if ic <= oc:
+        dwt = np.zeros((ic * kh * kw, oc), dtype=xp.dtype)
+        for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
+            dwt += np.matmul(col, dyf[:, :, lo:hi].transpose(0, 2, 1)).sum(axis=0)
+        return dwt.T.reshape(oc, ic, kh, kw)
+    dw = np.zeros((oc, ic, kh, kw), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
             off = i * wp + j

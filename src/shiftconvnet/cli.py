@@ -12,9 +12,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
-from .autograd import ContractViolation, Tensor
+from .autograd import ContractViolation
 from .config import (
     DATA_KEYS,
     load_samples_from,
@@ -41,6 +39,7 @@ from .training import (
     evaluate,
     frozen_params,
     load_checkpoint,
+    predict_disparity,
     save_checkpoint,
     train_stage,
 )
@@ -53,6 +52,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1; got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftconvnet",
                      description="Stereo disparity network with a "
@@ -61,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic stereo dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--count", type=int, default=4)
+    p.add_argument("--count", type=_positive_int, default=4)
     synth = SynthConfig()
     for f in fields(synth):
         default = getattr(synth, f.name)
@@ -107,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=128)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.set_defaults(func=_cmd_bench)
     return parser
 
@@ -208,15 +214,9 @@ def _cmd_infer(args) -> int:
             f"checkpoint expects {model.config.image_channels}-channel "
             f"images; got {left.shape[0]}"
         )
-    # the network needs extents divisible by 64: zero-pad right and bottom,
-    # then crop the prediction back (as PSMNet does)
-    h, w = left.shape[1:]
-    pad = ((0, 0), (0, -h % 64), (0, -w % 64))
     with frozen_params(model):
-        out = model.forward(Tensor(np.pad(left, pad)[None]),
-                            Tensor(np.pad(right, pad)[None]))
-    best = out.refined_disp if out.refined_disp is not None else out.coarse_disp
-    pred = best.data[0, 0, :h, :w]
+        coarse, refined = predict_disparity(model, left, right)
+    pred = refined if refined is not None else coarse
     path = Path(args.out)
     if path.suffix == ".pfm":
         path.write_bytes(write_pfm(pred))

@@ -445,14 +445,26 @@ class EvalReport:
         return render_table(header, rows + [footer])
 
 
-def _predict(model: ShiftConvNet, sample: StereoSample, refine: bool):
-    """The coarse (H, W) map and the refined one, or None, for one sample."""
-    out = model.forward(Tensor(sample.left[None]), Tensor(sample.right[None]),
-                        refine=refine)
+def predict_disparity(model: ShiftConvNet, left: np.ndarray, right: np.ndarray,
+                      refine: bool | None = None):
+    """The coarse (H, W) map and the refined one, or None, for one (C, H, W)
+    pair of any extents.
+
+    The network needs extents divisible by 64, so the pair is zero-padded
+    right and bottom to the next multiple and the maps are cropped back (as
+    PSMNet does)."""
+    h, w = left.shape[1:]
+    pad = ((0, 0), (0, -h % 64), (0, -w % 64))
+    out = model.forward(Tensor(np.pad(left, pad)[None]),
+                        Tensor(np.pad(right, pad)[None]), refine=refine)
     refined = None
     if out.refined_disp is not None:
-        refined = out.refined_disp.data[0, 0]
-    return out.coarse_disp.data[0, 0], refined
+        refined = out.refined_disp.data[0, 0, :h, :w]
+    return out.coarse_disp.data[0, 0, :h, :w], refined
+
+
+def _predict(model: ShiftConvNet, sample: StereoSample, refine: bool):
+    return predict_disparity(model, sample.left, sample.right, refine)
 
 
 def forward_seconds(forwards, warmup: int, rounds: int,
@@ -639,6 +651,8 @@ def parameter_count(model: ShiftConvNet) -> int:
 def bench_forward(cfg: NetworkConfig, height: int, width: int,
                   warmup: int = 2, repeats: int = 5, seed: int = 0) -> dict:
     """Wall-time the full forward pass on random images."""
+    if repeats < 1:
+        raise ContractViolation(f"bench needs at least one timed run; got {repeats}")
     rng = np.random.default_rng(seed)
     shape = (1, cfg.image_channels, height, width)
     left = Tensor(rng.random(shape, dtype=np.float32))

@@ -22,6 +22,7 @@ from shiftconvnet.autograd import (
     sum_all,
     transposed_conv2d,
 )
+from shiftconvnet.autograd import TAP_BLOCK_BYTES
 
 GRAD_TOL = 1e-4
 
@@ -139,24 +140,32 @@ def test_conv_delta_kernel_is_identity():
 
 
 def _conv_case(stride, padding, k, hw):
-    # 7x8 inputs keep the plain "stride-padding-k" id; others add "-HxW"
+    # 7x8 inputs keep the plain "stride-padding-k" id; others add "-HxW";
+    # a kH x kW kernel is given as a pair
     suffix = "" if hw == (7, 8) else f"-{hw[0]}x{hw[1]}"
-    return pytest.param(stride, padding, k, hw, id=f"{stride}-{padding}-{k}{suffix}")
+    kid = k if isinstance(k, int) else f"{k[0]}x{k[1]}"
+    return pytest.param(stride, padding, k, hw, id=f"{stride}-{padding}-{kid}{suffix}")
 
 
-# 1x2 and 2x1 are the extents of the smallest maps (the desk bottleneck)
+# 1x2 and 2x1 are the extents of the smallest maps (the desk bottleneck).
+# The channel pairs fall on both sides of the tap-merging rule (in <= out)
+# for the forward, the weight gradient and, with in and out exchanged, the
+# input gradient, at every stride (a stride-s fold multiplies in by s*s);
+# padding beyond k - 1 and non-square kernels make the input gradient's
+# full correlation crop dy instead of padding it.
 @pytest.mark.parametrize("stride,padding,k,hw", [
     _conv_case(*case, hw)
     for case in ((1, 0, 1), (1, 0, 3), (1, 1, 3), (1, 2, 5), (2, 1, 3), (2, 0, 4 - 1),
-                 (3, 1, 3), (3, 0, 5))
+                 (3, 1, 3), (3, 0, 5), (1, 2, 1), (1, 1, (1, 3)), (2, 1, (3, 1)))
     for hw in ((7, 8), (1, 2), (2, 1))
 ])
-@pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2), (1, 2), (3, 1)])
+@pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2), (1, 2), (3, 1), (2, 2), (1, 9)])
 def test_conv_matches_reference(stride, padding, k, hw, cin, cout):
+    kh, kw = (k, k) if isinstance(k, int) else k
     x = rand((2, cin, *hw), seed=stride * 10 + padding)
-    w = rand((cout, cin, k, k), seed=k)
+    w = rand((cout, cin, kh, kw), seed=kh * 10 + kw if kh != kw else kh)
     b = rand((1, cout, 1, 1), seed=5)
-    oh, ow = ((e + 2 * padding - k) // stride + 1 for e in hw)
+    oh, ow = ((e + 2 * padding - ke) // stride + 1 for e, ke in zip(hw, (kh, kw)))
     if oh < 1 or ow < 1:
         with pytest.raises(ContractViolation, match="non-positive"):
             conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
@@ -178,6 +187,61 @@ def test_conv_matches_reference(stride, padding, k, hw, cin, cout):
         terms = lhs * y
         assert abs(terms.sum() - (probe * grad).sum()) <= 1e-10 * np.abs(terms).sum()
     np.testing.assert_allclose(bt.grad, y.sum(axis=(0, 2, 3)).reshape(b.shape), rtol=1e-12)
+
+
+def conv_ref_windows(x, w, padding):
+    # stride-1 reference for maps too large for conv_ref: one einsum over
+    # every kH x kW window of the padded map
+    xp = np.pad(np.asarray(x, np.float64), ((0, 0), (0, 0)) + ((padding, padding),) * 2)
+    win = np.lib.stride_tricks.sliding_window_view(xp, w.shape[2:], axis=(2, 3))
+    return np.einsum("ncyxij,ocij->noyx", win, np.asarray(w, np.float64), optimize=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_blocks_do_not_depend_on_the_batch(dtype):
+    # 8 channels of 40 rows at 302 padded columns span several column
+    # blocks, the last one partial.  Blocks are cut from one image's size,
+    # so a batched conv and its input gradient are bit-identical to
+    # per-image ones; the weight gradient sums over the batch.
+    x = rand((2, 8, 40, 300), seed=64, dtype=dtype)
+    w = rand((8, 8, 3, 3), seed=65, dtype=dtype)
+    c = rand((2, 8, 40, 300), seed=66, dtype=dtype)
+    assert 8 * 9 * 302 * x.itemsize * 40 > 3 * TAP_BLOCK_BYTES
+
+    def run(images):
+        xt, wt = Tensor(x[images], requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, padding=1)
+        backward(sum_all(mul(out, Tensor(c[images]))))
+        return out.data, xt.grad, wt.grad
+
+    out, dx, dw = run(slice(None))
+    for i in range(2):
+        one = run(slice(i, i + 1))
+        assert np.array_equal(out[i : i + 1], one[0])
+        assert np.array_equal(dx[i : i + 1], one[1])
+
+    # against the float64 reference: the forward, then both gradients as
+    # adjoints, <conv(u; w), c> = <u, dx> and <conv(x; v), c> = <v, dw>
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    want = conv_ref_windows(x, w, 1)
+    np.testing.assert_allclose(out, want, rtol=tol, atol=tol * np.abs(want).max())
+    u, v = rand(x.shape, seed=67), rand(w.shape, seed=68)
+    for lhs, probe, grad in ((conv_ref_windows(u, w, 1), u, dx),
+                             (conv_ref_windows(x, v, 1), v, dw)):
+        terms = lhs * c
+        assert abs(terms.sum() - (probe * grad).sum()) <= tol * np.abs(terms).sum()
+
+
+def test_one_term_conv_keeps_signed_zeros():
+    # a 1x1 kernel over one channel is a one-term sum, taken as a broadcast
+    # product: -1 * 0.0 stays -0.0, where a GEMM's zeroed accumulator would
+    # return +0.0.  The stride-1 transposed conv is the input gradient.
+    v = np.array([[[[0.0, -0.0, 2.0, -3.0]]]])
+    w = Tensor(np.full((1, 1, 1, 1), -1.0))
+    for out in (conv2d(Tensor(v), w).data,
+                transposed_conv2d(Tensor(v), w, stride=1, padding=0).data):
+        np.testing.assert_array_equal(out, -v)
+        np.testing.assert_array_equal(np.signbit(out), ~np.signbit(v))
 
 
 def test_conv_channel_mismatch():
@@ -204,20 +268,27 @@ def test_conv_deterministic():
 
 
 def test_conv_grad_check():
-    w = Tensor(rand((2, 2, 3, 3), seed=3))
-    b = Tensor(rand((1, 2, 1, 1), seed=4))
-    x0 = Tensor(rand((1, 2, 5, 6), seed=5))
+    # out x in: 2x2 merges the taps in the forward and both gradients, 1x3
+    # keeps per-tap GEMMs in the forward and weight gradient, 3x1 in the
+    # input gradient
+    for oc, ic in ((2, 2), (1, 3), (3, 1)):
+        w = Tensor(rand((oc, ic, 3, 3), seed=3))
+        b = Tensor(rand((1, oc, 1, 1), seed=4))
+        x0 = Tensor(rand((1, ic, 5, 6), seed=5))
 
-    assert grad_check(lambda t: sum_all(conv2d(t, w, b, padding=1)), x0) < GRAD_TOL
-    assert grad_check(lambda t: sum_all(conv2d(x0, t, b, padding=1)), w) < GRAD_TOL
-    assert grad_check(lambda t: sum_all(conv2d(x0, w, t, padding=1)), b) < GRAD_TOL
+        assert grad_check(lambda t: sum_all(conv2d(t, w, b, padding=1)), x0) < GRAD_TOL
+        assert grad_check(lambda t: sum_all(conv2d(x0, t, b, padding=1)), w) < GRAD_TOL
+        assert grad_check(lambda t: sum_all(conv2d(x0, w, t, padding=1)), b) < GRAD_TOL
 
 
 def test_conv_strided_grad_check():
+    # at stride 3 the fold of the padded 8x8 map has a last row and column
+    # that no output's taps reach: their input gradient is zero-filled
     w = Tensor(rand((2, 1, 3, 3), seed=6))
     x0 = Tensor(rand((1, 1, 6, 6), seed=7))
-    assert grad_check(lambda t: sum_all(conv2d(t, w, stride=2, padding=1)), x0) < GRAD_TOL
-    assert grad_check(lambda t: sum_all(conv2d(x0, t, stride=2, padding=1)), w) < GRAD_TOL
+    for s in (2, 3):
+        assert grad_check(lambda t: sum_all(conv2d(t, w, stride=s, padding=1)), x0) < GRAD_TOL
+        assert grad_check(lambda t: sum_all(conv2d(x0, t, stride=s, padding=1)), w) < GRAD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +354,15 @@ def test_tconv_adjoint_of_reference_conv_4x4():
 
 
 def test_tconv_grad_check():
-    wt = Tensor(rand((2, 2, 4, 4), seed=14))
-    b = Tensor(rand((1, 2, 1, 1), seed=15))
-    x0 = Tensor(rand((1, 2, 3, 4), seed=16))
-    assert grad_check(lambda t: sum_all(transposed_conv2d(t, wt, b)), x0) < GRAD_TOL
-    assert grad_check(lambda t: sum_all(transposed_conv2d(x0, t, b)), wt) < GRAD_TOL
-    assert grad_check(lambda t: sum_all(transposed_conv2d(x0, wt, t)), b) < GRAD_TOL
+    # in x out: with 2x2 only the forward merges its taps, with 4x1 (whose
+    # fold has 4 x 1 channels) the forward and both gradients do
+    for ic, oc in ((2, 2), (4, 1)):
+        wt = Tensor(rand((ic, oc, 4, 4), seed=14))
+        b = Tensor(rand((1, oc, 1, 1), seed=15))
+        x0 = Tensor(rand((1, ic, 3, 4), seed=16))
+        assert grad_check(lambda t: sum_all(transposed_conv2d(t, wt, b)), x0) < GRAD_TOL
+        assert grad_check(lambda t: sum_all(transposed_conv2d(x0, t, b)), wt) < GRAD_TOL
+        assert grad_check(lambda t: sum_all(transposed_conv2d(x0, wt, t)), b) < GRAD_TOL
 
 
 def test_tconv_channel_mismatch():

@@ -7,6 +7,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from shiftconvnet.autograd import ContractViolation
 from shiftconvnet.cli import main
 from shiftconvnet.config import (
     DATA_KEYS,
@@ -37,6 +38,7 @@ from shiftconvnet.network import (
 from shiftconvnet.training import (
     Adam,
     TrainConfig,
+    bench_forward,
     checkpoint_bytes,
     load_checkpoint,
     read_checkpoint_blob,
@@ -251,6 +253,26 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert main(["train", "--stage", "3", "--config", "x"]) == 1
     assert main(["eval", "--ckpt", "a", "--data", "b", "--costvol", "x"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--config", "x", "--repeats", "0"],
+    ["bench", "--config", "x", "--repeats", "-1"],
+    ["gen", "--count", "-1"],
+    ["gen", "--count", "0"],
+], ids=["repeats-0", "repeats-neg", "count-neg", "count-0"])
+def test_cli_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    # rejected while parsing: no config is read and no dataset is written
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "data")]
+    assert main(argv) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_bench_forward_rejects_zero_repeats():
+    with pytest.raises(ContractViolation, match="at least one"):
+        bench_forward(tiny_config(), 64, 64, repeats=0)
 
 
 def test_cli_stage2_requires_resume_or_from_scratch(capsys):
@@ -478,6 +500,14 @@ def test_cli_eval_sample_without_valid_ground_truth(tmp_path, capsys):
     write_dataset(tmp_path / "none", [negative, non_finite])
     assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "none")]) == 2
     assert "valid ground-truth pixel" in capsys.readouterr().err
+
+
+def test_cli_eval_pads_any_extent(tmp_path, capsys):
+    ckpt = tiny_checkpoint(tmp_path / "m.scnc")
+    write_dataset(tmp_path / "data",
+                  [gen_synthetic_pair(SynthConfig(width=100, height=70))])
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "data")]) == 0
+    assert re.search(r"^ *000000 +\d", capsys.readouterr().out, re.M)
 
 
 def test_cli_infer_pads_any_extent_and_crops_back(tmp_path, capsys):
