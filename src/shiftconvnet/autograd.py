@@ -28,23 +28,33 @@ each tap's operand for a run of pixels is one contiguous run of the buffer,
 offset by i*Wp + j.  The last kW - 1 columns of each output row straddle a
 row boundary; the forward crops them once, and the weight gradient zeroes
 them in dy first.  How the taps meet the kernel depends on its shape.  When
-in_channels <= out_channels, `_tap_columns` stacks the kH*kW runs of a
+in_channels < 2 * out_channels, `_tap_columns` stacks the kH*kW runs of a
 block of whole output rows into one (C*kH*kW, rows*Wp) matrix (im2col,
 Chellapilla et al. 2006), so the block is one GEMM with a reduction of
 C*kH*kW; blocks hold at most `TAP_BLOCK_BYTES` per image, so the copy
 stays in cache and out of peak memory (as in MEC, Cho and Brand, arXiv
 1706.06873).  Otherwise each tap is one GEMM straight on its run, and kH*kW
-partial products are added up.  The rule weighs what each tap costs per
-pixel beyond its multiply-adds: the stacked copy moves C values, the
-per-tap sum adds out_channels values into the output, and a per-tap GEMM
-whose reduction is only C is thin exactly when C is the smaller side.  The
-input gradient is the same forward core run on dy, with the kernel flipped
-in both axes and its channel axes exchanged, padded by k - 1 - p: the full
-correlation.  It therefore takes its path by the same rule with the
-channels exchanged.  Strided and transposed convolutions run the same
-cores: a stride-s conv is a stride-1 conv with a ceil(k/s) kernel once
-`_fold` moves the s*s phases of map and kernel into channels (Shi et al.,
-arXiv 1609.07009); `_unfold`, its adjoint, moves them back.
+partial products are added up.  The rule is measured.  Both paths were
+timed on every conv shape of the desk model (batch 1, a 2-core Xeon,
+OpenBLAS 0.3.31, 2 threads).  Merging wins where the input side is thin,
+as in the forward of a 1->8 conv at 384x768 (1.9 ms against 14.4 per tap)
+or of a 16->32 one (48 against 92 ms), and still where the two sides are
+about equal, as in the weight gradient of a 17->16 conv at 384x768 (55
+against 77 ms).  Per-tap GEMMs win from twice as many input channels on:
+the forward of a 144->32 conv at 96x192 takes 14 ms against 28 merged, and
+the weight gradient of a 32->1 conv at 384x768 15 against 39 ms.  Of the
+thresholds tried (0.5 to 4.6 times out_channels), this one gave the lowest
+total of forward, input gradient and weight gradient over the shapes of a
+384x768 step: 818 ms, against 849 with in <= out, 949 merging everywhere
+and 811 taking the faster path of every shape; the weight gradient alone
+took 320 ms under this rule and 343 with in <= out.  The input gradient is
+the same forward core run on dy, with the kernel flipped in both axes and
+its channel axes exchanged, padded by k - 1 - p: the full correlation.  It
+therefore takes its path by the same rule with the channels exchanged.
+Strided and transposed convolutions run the same cores: a stride-s conv is
+a stride-1 conv with a ceil(k/s) kernel once `_fold` moves the s*s phases
+of map and kernel into channels (Shi et al., arXiv 1609.07009); `_unfold`,
+its adjoint, moves them back.
 
 `conv2d` also takes a sequence of inputs, which it convolves as the
 concatenation of their channels.  The padded buffer above (or the folded
@@ -300,7 +310,7 @@ def _conv_core(xs: Sequence[np.ndarray], w: np.ndarray, stride: int,
     m = oh * wp
     xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
     acc = np.empty((n, oc, m), xp.dtype)
-    if ic <= oc:
+    if ic < 2 * oc:
         w2 = w.reshape(oc, ic * kh * kw)
         for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
             _tap_product(w2, col, acc[:, :, lo:hi])
@@ -353,7 +363,7 @@ def _conv_weight_grad(xs: Sequence[np.ndarray], dy: np.ndarray, stride: int,
     xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
     ic = xp.shape[1]
     dyf = _flat_grid(dy, wp)
-    if ic <= oc:
+    if ic < 2 * oc:
         dwt = np.zeros((ic * kh * kw, oc), dtype=xp.dtype)
         for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
             dwt += np.matmul(col, dyf[:, :, lo:hi].transpose(0, 2, 1)).sum(axis=0)

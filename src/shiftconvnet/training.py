@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ContractViolation, Tensor, backward
-from .data import CodecError, StereoSample, resize_nearest
+from .data import CodecError, resize_nearest
 from .losses import LossConfig, d1_rate, epe, loss1, loss2, valid_mask
 from .matching import CONCAT_THEN_CONV, CONV_THEN_CONCAT, ShiftConvConfig
 from .network import (
@@ -463,10 +463,6 @@ def predict_disparity(model: ShiftConvNet, left: np.ndarray, right: np.ndarray,
     return out.coarse_disp.data[0, 0, :h, :w], refined
 
 
-def _predict(model: ShiftConvNet, sample: StereoSample, refine: bool):
-    return predict_disparity(model, sample.left, sample.right, refine)
-
-
 def forward_seconds(forwards, warmup: int, rounds: int,
                     min_seconds: float = 0.0) -> list:
     """Mean wall time of each callable in `forwards`, called with the round
@@ -510,7 +506,7 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
     do_refine = model.config.refine_enabled if refine is None else refine
 
     fn = predict if predict is not None else (
-        lambda sample: _predict(model, sample, do_refine))
+        lambda s: predict_disparity(model, s.left, s.right, do_refine))
 
     with frozen_params(model):
         rows = []
@@ -631,10 +627,11 @@ def ablation_suite(samples, base_cfg: NetworkConfig, train_cfg: TrainConfig,
     with ExitStack() as frozen:
         for model in models:
             frozen.enter_context(frozen_params(model))
-        epes = [float(np.mean([epe(_predict(model, s, False)[0], s.gt_disp)
-                               for s in samples])) for model in models]
+        pairs = [(s.left, s.right) for s in samples]
+        epes = [float(np.mean([epe(predict_disparity(model, *p, False)[0], s.gt_disp)
+                               for p, s in zip(pairs, samples)])) for model in models]
         seconds = forward_seconds(
-            [lambda i, m=model: _predict(m, samples[i % len(samples)], False)
+            [lambda i, m=model: predict_disparity(m, *pairs[i % len(pairs)], False)
              for model in models],
             ABLATION_WARMUP_ROUNDS, ABLATION_TIMED_ROUNDS,
             ABLATION_TIMING_SECONDS)

@@ -148,7 +148,7 @@ def _conv_case(stride, padding, k, hw):
 
 
 # 1x2 and 2x1 are the extents of the smallest maps (the desk bottleneck).
-# The channel pairs fall on both sides of the tap-merging rule (in <= out)
+# The channel pairs fall on both sides of the tap-merging rule (in < 2 * out)
 # for the forward, the weight gradient and, with in and out exchanged, the
 # input gradient, at every stride (a stride-s fold multiplies in by s*s);
 # padding beyond k - 1 and non-square kernels make the input gradient's
@@ -159,7 +159,7 @@ def _conv_case(stride, padding, k, hw):
                  (3, 1, 3), (3, 0, 5), (1, 2, 1), (1, 1, (1, 3)), (2, 1, (3, 1)))
     for hw in ((7, 8), (1, 2), (2, 1))
 ])
-@pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2), (1, 2), (3, 1), (2, 2), (1, 9)])
+@pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2), (1, 2), (3, 1), (2, 2), (1, 9), (1, 19)])
 def test_conv_matches_reference(stride, padding, k, hw, cin, cout):
     kh, kw = (k, k) if isinstance(k, int) else k
     x = rand((2, cin, *hw), seed=stride * 10 + padding)
