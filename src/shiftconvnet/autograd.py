@@ -64,9 +64,23 @@ gradient, so the concatenation never exists as an array or a graph node.
 
 Both convolutions take `leaky=True` to apply `leaky_relu` to their biased
 result in place.  The values are those of `leaky_relu(conv(...))`, bit for
-bit, but the graph keeps a bool sign mask instead of the float
-pre-activation (Rota Bulo et al., arXiv 1712.02616) and one node instead
-of two.
+bit, but the graph keeps one node instead of two and, instead of the float
+pre-activation (Rota Bulo et al., arXiv 1712.02616), its sign mask y >= 0
+packed at one bit per element (Gist's binarized mask, Jain et al., ISCA
+2018).  The mask cannot be recomputed from the output: a negative
+subnormal y leaves -0.0, as y = -0.0 does, yet the derivatives are 0.1 and
+1.  The backward multiplies the gradient by a two-entry table, [0.1, 1]
+indexed by the bit, a block of channel planes at a time; that equals the
+select of g and 0.1*g bit for bit, because g*1 = g.
+
+The backward of a stride-1 "same" conv2d (kH = kW = 2p + 1) keeps one
+full-size temporary of the output gradient: a zeroed flat-row buffer padded
+by p, `_flat_pad`'s layout, with the masked gradient written into its
+interior.  That buffer is the input gradient's operand as it stands (the
+full correlation pads dy by k - 1 - p = p), and its view from flat offset
+p*Wp + p is exactly the weight gradient's padded-width grid: with Wp =
+W + 2p, the kW - 1 wrap columns of each row fall on pad zeros.  The bias
+gradient sums its interior.  Every other conv takes the gradient unpadded.
 """
 
 from __future__ import annotations
@@ -148,8 +162,10 @@ def accumulate_grad(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy rather than 0 + g: one pass, and a lone -0.0 stays -0.0
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -220,12 +236,19 @@ def _flat_pad(xs: Sequence[np.ndarray], p: int, hp: int, wp: int,
     n, _, h, wd = xs[0].shape
     c = sum(x.shape[1] for x in xs)
     xp = np.zeros((n, c, hp * wp + tail), dtype=np.result_type(*xs))
-    grid = xp[:, :, : hp * wp].reshape(n, c, hp, wp)
+    interior = _flat_interior(xp, p, hp, wp, (h, wd))
     lo = 0
     for x in xs:
-        grid[:, lo : lo + x.shape[1], p : p + h, p : p + wd] = x
+        interior[:, lo : lo + x.shape[1]] = x
         lo += x.shape[1]
     return xp
+
+
+def _flat_interior(xp: np.ndarray, p: int, hp: int, wp: int,
+                   hw: tuple[int, int]) -> np.ndarray:
+    """The (N, C, H, W) view at offset (p, p) of a flat-row buffer's hp x wp grid."""
+    n, c, _ = xp.shape
+    return xp[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, p : p + hw[0], p : p + hw[1]]
 
 
 def _flat_grid(dy: np.ndarray, wp: int) -> np.ndarray:
@@ -299,16 +322,24 @@ def _conv_core(xs: Sequence[np.ndarray], w: np.ndarray, stride: int,
     xpad is the inputs' padded channel concatenation.  The result is a
     cropped view of the padded-width grid.
     """
-    n, _, h, wd = xs[0].shape
-    oc, ic, kh, kw = w.shape
+    _, _, h, wd = xs[0].shape
+    _, _, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
     if stride > 1:
         out = _conv_core((_fold(xs, stride, padding),), _fold((w,), stride, 0), 1, 0)
         return out[..., :oh, :ow]
     wp = wd + 2 * padding
-    m = oh * wp
     xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
+    return _conv_flat(xp, w, oh, wp)[..., :ow]
+
+
+def _conv_flat(xp: np.ndarray, w: np.ndarray, oh: int, wp: int) -> np.ndarray:
+    """The stride-1 core on a flat padded buffer: (N, O, oh, wp) over the
+    padded width, its last kW - 1 columns straddling a row boundary."""
+    n, ic = xp.shape[:2]
+    oc, _, kh, kw = w.shape
+    m = oh * wp
     acc = np.empty((n, oc, m), xp.dtype)
     if ic < 2 * oc:
         w2 = w.reshape(oc, ic * kh * kw)
@@ -322,7 +353,12 @@ def _conv_core(xs: Sequence[np.ndarray], w: np.ndarray, stride: int,
                 if i or j:
                     off = i * wp + j
                     acc += _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod)
-    return acc.reshape(n, oc, oh, wp)[..., :ow]
+    return acc.reshape(n, oc, oh, wp)
+
+
+def _flipped(w: np.ndarray) -> np.ndarray:
+    """The input gradient's kernel: flipped in both axes, channel axes exchanged."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
@@ -344,7 +380,7 @@ def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
     # what a padding > k - 1 would have cut off
     qh, qw = kh - 1 - padding, kw - 1 - padding
     q = max(qh, qw, 0)
-    dx = _conv_core((dy,), w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, q)
+    dx = _conv_core((dy,), _flipped(w), 1, q)
     return dx[..., q - qh : q - qh + h, q - qw : q - qw + wd]
 
 
@@ -356,13 +392,21 @@ def _conv_weight_grad(xs: Sequence[np.ndarray], dy: np.ndarray, stride: int,
         fk = (-(-kh // stride), -(-kw // stride))
         dwf = _conv_weight_grad((_fold(xs, stride, padding),), dy, 1, 0, fk)
         return _unfold(dwf, stride, 0, kshape)
-    n, _, h, wd = xs[0].shape
-    _, oc, oh, ow = dy.shape
+    wp = xs[0].shape[3] + 2 * padding
+    return _weight_grad_flat(xs, _flat_grid(dy, wp), padding, kshape)
+
+
+def _weight_grad_flat(xs: Sequence[np.ndarray], dyf: np.ndarray, padding: int,
+                      kshape: tuple[int, int]) -> np.ndarray:
+    """The stride-1 weight gradient from dy on the padded-width grid:
+    dyf is (N, O, oH*Wp), its last kW - 1 columns of each row zero."""
+    kh, kw = kshape
+    _, _, h, wd = xs[0].shape
+    _, oc, m = dyf.shape
     wp = wd + 2 * padding
-    m = oh * wp
+    oh = m // wp
     xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
     ic = xp.shape[1]
-    dyf = _flat_grid(dy, wp)
     if ic < 2 * oc:
         dwt = np.zeros((ic * kh * kw, oc), dtype=xp.dtype)
         for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
@@ -394,42 +438,73 @@ def _leaky(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(y, y * y.dtype.type(LEAKY_SLOPE), out=out)
 
 
-def _leaky_grad(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """g where the pre-activation was >= 0 (the derivative at 0 is 1), else slope*g."""
-    return np.where(mask, g, g * g.dtype.type(LEAKY_SLOPE))
+def _leaky_bits(y: np.ndarray) -> np.ndarray:
+    """The leaky mask y >= 0 at one bit per element, packed along each row."""
+    return np.packbits(y >= 0, axis=-1)
+
+
+def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = g * [slope, 1][bit]: g where the pre-activation was >= 0 (the
+    derivative at 0 is 1), else slope*g, bit for bit, because g*1 = g.
+
+    A block of channel planes (at most `TAP_BLOCK_BYTES`, or one plane) at a
+    time, so no full-size temporary is built.
+    """
+    n, c, h, w = g.shape
+    lut = np.array([LEAKY_SLOPE, 1], g.dtype)
+    step = max(1, TAP_BLOCK_BYTES // (h * w * g.itemsize))
+    for i in range(n):
+        for lo in range(0, c, step):
+            blk = (i, slice(lo, lo + step))
+            sel = np.unpackbits(bits[blk], axis=-1, count=w)
+            np.multiply(g[blk], lut.take(sel), out=out[blk])
+    return out
 
 
 def _conv_epilogue(y: np.ndarray, xs: tuple[Tensor, ...], w: Tensor,
-                   b: Tensor | None, leaky: bool, input_grad,
-                   weight_grad) -> Tensor:
+                   b: Tensor | None, leaky: bool, input_grad, weight_grad,
+                   pad: int | None = None) -> Tensor:
     """Add the bias, optionally apply leaky in place, and record the op.
 
     `input_grad(g)` and `weight_grad(g)` are the core's adjoints; each of
-    the inputs `xs` takes its own channel range of `input_grad(g)`.  The
+    the inputs `xs` takes its own channel range of `input_grad(g)`.  With
+    `pad` set, the backward writes the (masked) output gradient into the
+    interior of a zeroed flat-row buffer padded by `pad` (`_flat_pad`'s
+    layout, tail 2*pad) and hands the adjoints that buffer instead.  The
     bias add also packs the core's possibly cropped result, so the
     in-place activation never writes into an operand.
     """
     parents = (*xs, w) if b is None else (*xs, w, b)
     y = np.ascontiguousarray(y) if b is None else y + b.data
-    mask = None
+    bits = None
     if leaky:
         if any(p.requires_grad for p in parents):
-            mask = y >= 0
+            bits = _leaky_bits(y)
         _leaky(y, out=y)
 
     def bwd(g):
-        if leaky:
-            g = _leaky_grad(g, mask)
+        if pad is None:
+            gp = gi = g if bits is None else np.empty_like(g)
+        else:
+            n, oc, h, wd = g.shape
+            hp, wp = h + 2 * pad, wd + 2 * pad
+            gp = np.zeros((n, oc, hp * wp + 2 * pad), g.dtype)
+            gi = _flat_interior(gp, pad, hp, wp, (h, wd))
+        if bits is not None:
+            _leaky_grad(g, bits, gi)
+        elif gi is not g:
+            gi[...] = g
         if any(x.requires_grad for x in xs):
-            dx = input_grad(g)
+            dx = input_grad(gp)
             lo = 0
             for x in xs:
                 accumulate_grad(x, dx[:, lo : lo + x.shape[1]])
                 lo += x.shape[1]
+            del dx  # freed before the weight gradient pads the input
         if w.requires_grad:
-            accumulate_grad(w, weight_grad(g))
+            accumulate_grad(w, weight_grad(gp))
         if b is not None and b.requires_grad:
-            accumulate_grad(b, g.sum(axis=(0, 2, 3)).reshape(b.shape))
+            accumulate_grad(b, gi.sum(axis=(0, 2, 3)).reshape(b.shape))
 
     return graph_out(y, parents, bwd)
 
@@ -490,11 +565,31 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
     _check_bias(b, oc, "conv2d")
 
     arrays = [t.data for t in xs]
-    return _conv_epilogue(
-        _conv_core(arrays, w.data, stride, padding), xs, w, b, leaky,
-        lambda g: _conv_input_grad(g, w.data, stride, padding, (h, wd)),
-        lambda g: _conv_weight_grad(arrays, g, stride, padding, (kh, kw)),
-    )
+    if stride == 1 and kh == kw == 2 * padding + 1:
+        # a "same" conv: dy padded by p is the input gradient's operand, and
+        # its view at flat offset p*Wp + p is the weight gradient's grid
+        wp = wd + 2 * padding
+        grid = slice(padding * wp + padding, (h + padding) * wp + padding)
+        pad = padding
+
+        def input_grad(gp):
+            return _conv_flat(gp, _flipped(w.data), h, wp)[..., :wd]
+
+        def weight_grad(gp):
+            return _weight_grad_flat(arrays, gp[:, :, grid], padding, (kh, kw))
+    else:
+        pad = None
+
+        def input_grad(g):
+            return _conv_input_grad(g, w.data, stride, padding, (h, wd))
+
+        def weight_grad(g):
+            return _conv_weight_grad(arrays, g, stride, padding, (kh, kw))
+
+    # the core's result is passed straight in, with no other reference
+    # held, so the bias add frees it before the activation's temporary
+    return _conv_epilogue(_conv_core(arrays, w.data, stride, padding), xs, w, b,
+                          leaky, input_grad, weight_grad, pad)
 
 
 def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -549,13 +644,20 @@ def maxpool2d(x: Tensor) -> Tensor:
     v = x.data.reshape(n, c, oh, 2, ow, 2)
     # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so
     # each later candidate goes first to keep the earlier one.
-    out = np.maximum(np.maximum(v[:, :, :, 1, :, 1], v[:, :, :, 1, :, 0]),
-                     np.maximum(v[:, :, :, 0, :, 1], v[:, :, :, 0, :, 0]))
+    v00, v01 = v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1]
+    v10, v11 = v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1]
+    top, bot = np.maximum(v01, v00), np.maximum(v11, v10)
+    out = np.maximum(bot, top)
     am = None
     if x.requires_grad:
-        # window flattened in row-major order: argmax picks the first maximum
-        win = v.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-        am = np.argmax(win, axis=-1).astype(np.uint8)
+        # the first maximum's index in the window's row-major order, from
+        # the comparisons behind the maxima above; a NaN counts as largest
+        def later(a, b):  # b, coming after a, is the larger
+            return (a == a) & ~(a >= b)
+
+        bottom = later(top, bot)
+        am = bottom.view(np.uint8) << 1
+        am |= np.where(bottom, later(v10, v11), later(v00, v01))
 
     def bwd(g):
         dwin = np.zeros((n, c, oh, ow, 4), dtype=g.dtype)
@@ -570,7 +672,7 @@ def leaky_relu(x: Tensor) -> Tensor:
     """x for x >= 0 else LEAKY_SLOPE*x; the derivative at 0 is defined as 1."""
 
     def bwd(g):
-        accumulate_grad(x, _leaky_grad(g, x.data >= 0))
+        accumulate_grad(x, _leaky_grad(g, _leaky_bits(x.data), np.empty_like(g)))
 
     return graph_out(_leaky(x.data), (x,), bwd)
 

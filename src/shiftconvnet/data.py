@@ -51,6 +51,11 @@ class StereoSample:
         return self.left.shape[2]
 
 
+# the side of the smallest rectangle the generator paints, and so the
+# smallest image extent it can paint one into
+MIN_EXTENT = 4
+
+
 @dataclass
 class SynthConfig:
     width: int = 128
@@ -63,6 +68,16 @@ class SynthConfig:
     channels: int = 1
 
     def __post_init__(self):
+        if min(self.height, self.width) < MIN_EXTENT:
+            raise ContractViolation(
+                f"height and width must be at least {MIN_EXTENT}; got "
+                f"{self.height}x{self.width}"
+            )
+        if self.num_shapes < 0 or self.seed < 0:
+            raise ContractViolation(
+                f"num_shapes and seed must be >= 0; got {self.num_shapes} "
+                f"and {self.seed}"
+            )
         if not (0 <= self.disp_min <= self.disp_max < self.width / 2):
             raise ContractViolation(
                 f"need 0 <= disp_min <= disp_max < width/2; got "
@@ -121,8 +136,8 @@ def gen_synthetic_pair(cfg: SynthConfig) -> StereoSample:
     shapes = []
     for _ in range(cfg.num_shapes):
         d = int(rng.integers(cfg.disp_min, cfg.disp_max + 1))
-        sw = int(rng.integers(max(4, w // 8), max(5, w // 3)))
-        sh = int(rng.integers(max(4, h // 8), max(5, h // 2)))
+        sw = int(rng.integers(max(MIN_EXTENT, w // 8), max(MIN_EXTENT + 1, w // 3)))
+        sh = int(rng.integers(max(MIN_EXTENT, h // 8), max(MIN_EXTENT + 1, h // 2)))
         x0 = int(rng.integers(0, w - sw + 1))
         y0 = int(rng.integers(0, h - sh + 1))
         shapes.append((x0, x0 + sw, y0, y0 + sh, d,

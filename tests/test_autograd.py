@@ -1,5 +1,6 @@
 """Autodiff core against naive references and finite differences."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -402,6 +403,23 @@ def test_maxpool_tie_routes_to_first_in_row_major_order():
     np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
 
+def test_maxpool_routes_each_window_to_its_argmax():
+    # every window of values drawn from {-1, -0.0, 0, 1, NaN}: the gradient
+    # goes where np.argmax of the row-major window points (the first
+    # maximum, or the first NaN)
+    vals = np.array([-1.0, -0.0, 0.0, 1.0, np.nan])
+    idx = np.indices((5,) * 4).reshape(4, -1)
+    x = vals[idx].T.reshape(1, 1, -1, 2, 2).transpose(0, 1, 3, 2, 4)
+    x = np.ascontiguousarray(x.reshape(1, 1, 2, -1))
+    xt = Tensor(x, requires_grad=True)
+    backward(sum_all(maxpool2d(xt)))
+    win = x.reshape(1, 1, 1, 2, -1, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
+    want = np.zeros_like(win)
+    want[np.arange(len(win)), np.argmax(win, axis=-1)] = 1.0
+    got = xt.grad.reshape(1, 1, 1, 2, -1, 2).transpose(0, 1, 2, 4, 3, 5)
+    np.testing.assert_array_equal(got.reshape(-1, 4), want)
+
+
 def test_maxpool_tie_joint_direction_matches_fd():
     # Perturbing both tied entries together keeps the function smooth; the
     # central difference along that direction must equal the summed
@@ -741,6 +759,72 @@ def test_backward_over_a_released_graph_raises():
     backward(sum_all(y))
     with pytest.raises(ContractViolation, match="consumed"):
         backward(sum_all(mul(y, y)))
+
+
+def test_a_lone_negative_zero_gradient_stays_negative():
+    # the first contribution is stored as is, not added to a +0.0 array
+    x = Tensor(np.array([[[[2.0, 3.0]]]]), requires_grad=True)
+    backward(sum_all(mul(x, Tensor(np.array([[[[-0.0, 1.0]]]])))))
+    assert x.grad[0, 0, 0, 0] == 0 and np.signbit(x.grad[0, 0, 0, 0])
+    np.testing.assert_array_equal(x.grad, [[[[-0.0, 1.0]]]])
+    assert x.grad.flags.c_contiguous and x.grad.dtype == x.dtype
+
+
+def _traced(fn):
+    """fn()'s result, the bytes it left allocated and its peak above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - base, peak - base
+
+
+def _same_conv():
+    # 1 MiB maps, four times a column block
+    x = Tensor(rand((1, 32, 64, 128), seed=60, dtype=np.float32),
+               requires_grad=True)
+    w = Tensor(rand((32, 32, 3, 3), seed=61, dtype=np.float32) * 0.1,
+               requires_grad=True)
+    b = Tensor(rand((1, 32, 1, 1), seed=62, dtype=np.float32),
+               requires_grad=True)
+    return x, w, b
+
+
+def test_leaky_conv_node_keeps_its_mask_as_bits():
+    x, w, b = _same_conv()
+    y, kept, _ = _traced(lambda: conv2d(x, w, b, padding=1, leaky=True))
+    # one bit per activation (1/32 of float32 bytes), plus the node's
+    # records and numpy's first-call caches; a bool mask would be 1/4
+    assert kept - y.data.nbytes <= y.data.nbytes // 32 + 16384
+
+
+def test_untracked_leaky_conv_frees_the_core_result_before_the_activation():
+    x = Tensor(rand((1, 1, 128, 256), seed=64, dtype=np.float32))
+    w = Tensor(rand((8, 1, 3, 3), seed=65, dtype=np.float32))
+    b = Tensor(rand((1, 8, 1, 1), seed=66, dtype=np.float32))
+    conv2d(x, w, b, padding=1, leaky=True)  # numpy's first-call caches
+    y, _, peak = _traced(lambda: conv2d(x, w, b, padding=1, leaky=True))
+    core = y.data.nbytes * 258 // 256  # the result over the padded width
+    # the padded input and one column block, then the core's result and
+    # the biased output; the activation's temporary comes after the first
+    # of those is freed
+    assert peak <= 2 * core + x.data.nbytes * 2 + TAP_BLOCK_BYTES
+
+
+def test_same_conv_backward_holds_one_padded_gradient_buffer():
+    x, w, b = _same_conv()
+    y = conv2d(x, w, b, padding=1, leaky=True)
+    g = rand(y.shape, seed=63, dtype=np.float32)
+    _, _, peak = _traced(lambda: y._backward(g))
+    n, c, h, wd = x.shape
+    padded = n * c * ((h + 2) * (wd + 2) + 2) * x.data.itemsize
+    # the padded output gradient (as many channels as dx here), dx on the
+    # padded-width grid and the stored x.grad, then the column blocks or
+    # the leaky table's block
+    assert peak <= 3 * padded + 2 * TAP_BLOCK_BYTES
 
 
 def test_elementwise_grad_checks():

@@ -270,6 +270,51 @@ def test_cli_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "data").exists()
 
 
+GENERATOR_OUT_OF_RANGE = [
+    (["--height", "-3"], "at least 4"),
+    (["--height", "0"], "at least 4"),
+    (["--width", "3"], "at least 4"),
+    (["--num-shapes", "-1"], "num_shapes and seed"),
+    (["--seed", "-1"], "num_shapes and seed"),
+]
+GENERATOR_IDS = ["height-neg", "height-0", "width-3", "shapes-neg", "seed-neg"]
+
+
+@pytest.mark.parametrize("flags, match", GENERATOR_OUT_OF_RANGE,
+                         ids=GENERATOR_IDS)
+def test_cli_gen_rejects_out_of_range_generator_flags(tmp_path, capsys,
+                                                      flags, match):
+    out = tmp_path / "data"
+    assert main(["gen", "--out", str(out), "--count", "1"] + flags) == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, match", GENERATOR_OUT_OF_RANGE,
+                         ids=GENERATOR_IDS)
+def test_cli_train_rejects_out_of_range_synth_keys(tmp_path, capsys,
+                                                   flags, match):
+    # the config keys share the generator flags' checks and exit code
+    key = "synth_" + flags[0][2:].replace("-", "_")
+    cfg = write_config(tmp_path / "run.cfg", **{key: flags[1]})
+    ckpt = tmp_path / "out.scnc"
+    assert main(["train", "--stage", "1", "--config", cfg,
+                 "--out", str(ckpt)]) == 2
+    assert match in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_generator_paints_at_its_smallest_extent():
+    for seed in range(20):
+        sample = gen_synthetic_pair(SynthConfig(
+            width=4, height=4, disp_min=0, disp_max=0, background_disp=0,
+            seed=seed))
+        assert sample.left.shape == (1, 4, 4)
+    with pytest.raises(ContractViolation, match="at least 4"):
+        SynthConfig(width=4, height=3, disp_min=0, disp_max=0,
+                    background_disp=0)
+
+
 def test_bench_forward_rejects_zero_repeats():
     with pytest.raises(ContractViolation, match="at least one"):
         bench_forward(tiny_config(), 64, 64, repeats=0)
