@@ -5,11 +5,12 @@ maps, scalar losses) lives in a `Tensor`: a (batch, channels, height, width)
 numpy array plus optional gradient tracking.  Operations record parent links
 on their outputs; `backward` walks the recorded graph once in reverse
 topological order and accumulates gradients additively into every
-grad-tracked tensor on the path.  `backward` consumes the graph: once an op
-output's backward has run, its gradient, closure and parent links are
-dropped, so only leaves (tensors no op produced) keep their gradients, and
-each intermediate is freed as soon as no pending backward holds it (Chen et
-al., arXiv 1604.06174).  A second `backward` through a consumed node raises.
+grad-tracked tensor on the path.  `backward` consumes the graph: an op
+output's gradient is handed over to its backward, and once that has run its
+closure and parent links are dropped, so only leaves (tensors no op
+produced) keep their gradients, and each intermediate is freed as soon as
+no pending backward holds it (Chen et al., arXiv 1604.06174).  A second
+`backward` through a consumed node raises.
 
 float32 is the working precision.  float64 inputs propagate through every
 op unchanged and exist for finite-difference gradient checking
@@ -26,10 +27,11 @@ flattened, with Hp, Wp the padded extents.  Computed over the padded width,
 output pixel m = y*Wp + x reads tap (i, j) at flat index m + i*Wp + j, so
 each tap's operand for a run of pixels is one contiguous run of the buffer,
 offset by i*Wp + j.  The last kW - 1 columns of each output row straddle a
-row boundary; the forward crops them once, and the weight gradient zeroes
-them in dy first.  How the taps meet the kernel depends on its shape.  When
-in_channels < 2 * out_channels, `_tap_columns` stacks the kH*kW runs of a
-block of whole output rows into one (C*kH*kW, rows*Wp) matrix (im2col,
+row boundary; the forward crops them once, and the output gradient's
+layout (below) puts zeros under them.  How the taps meet the kernel
+depends on its shape.  When in_channels < 2 * out_channels,
+`_tap_columns` stacks the kH*kW runs of a block of whole output rows into
+one (C*kH*kW, rows*Wp) matrix (im2col,
 Chellapilla et al. 2006), so the block is one GEMM with a reduction of
 C*kH*kW; blocks hold at most `TAP_BLOCK_BYTES` per image, so the copy
 stays in cache and out of peak memory (as in MEC, Cho and Brand, arXiv
@@ -49,12 +51,12 @@ total of forward, input gradient and weight gradient over the shapes of a
 and 811 taking the faster path of every shape; the weight gradient alone
 took 320 ms under this rule and 343 with in <= out.  The input gradient is
 the same forward core run on dy, with the kernel flipped in both axes and
-its channel axes exchanged, padded by k - 1 - p: the full correlation.  It
-therefore takes its path by the same rule with the channels exchanged.
-Strided and transposed convolutions run the same cores: a stride-s conv is
-a stride-1 conv with a ceil(k/s) kernel once `_fold` moves the s*s phases
-of map and kernel into channels (Shi et al., arXiv 1609.07009); `_unfold`,
-its adjoint, moves them back.
+its channel axes exchanged: the full correlation.  It therefore takes its
+path by the same rule with the channels exchanged.  Strided and transposed
+convolutions run the same cores: a stride-s conv is a stride-1 conv with a
+ceil(k/s) kernel once `_lower` moves the s*s phases of map and kernel into
+channels (Shi et al., arXiv 1609.07009); `_unfold`, its adjoint, moves them
+back.
 
 `conv2d` also takes a sequence of inputs, which it convolves as the
 concatenation of their channels.  The padded buffer above (or the folded
@@ -73,14 +75,22 @@ subnormal y leaves -0.0, as y = -0.0 does, yet the derivatives are 0.1 and
 indexed by the bit, a block of channel planes at a time; that equals the
 select of g and 0.1*g bit for bit, because g*1 = g.
 
-The backward of a stride-1 "same" conv2d (kH = kW = 2p + 1) keeps one
-full-size temporary of the output gradient: a zeroed flat-row buffer padded
-by p, `_flat_pad`'s layout, with the masked gradient written into its
-interior.  That buffer is the input gradient's operand as it stands (the
-full correlation pads dy by k - 1 - p = p), and its view from flat offset
-p*Wp + p is exactly the weight gradient's padded-width grid: with Wp =
-W + 2p, the kW - 1 wrap columns of each row fall on pad zeros.  The bias
-gradient sums its interior.  Every other conv takes the gradient unpadded.
+Every convolution adjoint reads one layout of the output gradient,
+`_dy_layout`.  Take the stride-1 core behind a conv: its input grid is Wp
+wide (the padded map, or at s > 1 its phase fold), its kernel kH' x kW'.
+dy is written at row kH' - 1, column kW' - 1 of a zeroed flat-row buffer
+whose rows are Wp wide.  Its rows end by column Wp - 1 (at s = 1 exactly
+there), so the kW' - 1 columns each row wraps into are zeros, and two
+identities hold for any kernel, padding and stride.  The input gradient is
+the core with the flipped kernel run on the buffer as it stands: read from
+flat offset p*Wp + p at s = 1, or from 0 at s > 1 and then unfolded.  The
+buffer's view from flat offset (kH' - 1)*Wp + kW' - 1 is exactly the
+weight gradient's padded-width grid.  So conv2d's backward writes its
+masked gradient into one such buffer, with no pad, crop or zero fill, and
+the bias gradient sums the same view.  transposed_conv2d runs its forward
+as that input gradient on x placed in the buffer; its backward lowers its
+gradient once, the one operand of both its adjoints (the conv forward, and
+the weight gradient with x placed again as the grid).
 """
 
 from __future__ import annotations
@@ -199,10 +209,10 @@ def backward(loss: Tensor):
 
     Afterwards every grad-tracked leaf reachable from `loss` holds
     d(loss)/d(leaf); fan-out contributions accumulate additively.  Each
-    graph record is visited exactly once.  As soon as an op output's
-    backward has run, its gradient, closure and parent links are dropped:
-    only leaves keep their gradients, and a later `backward` that reaches
-    the output raises `ContractViolation`.
+    graph record is visited exactly once.  An op output's gradient is
+    detached before its backward runs, and its closure and parent links
+    are dropped after: only leaves keep their gradients, and a later
+    `backward` that reaches the output raises `ContractViolation`.
     """
     if loss.data.size != 1:
         raise ContractViolation(
@@ -215,48 +225,106 @@ def backward(loss: Tensor):
         if node._backward is None:
             continue
         if node.grad is not None:
-            node._backward(node.grad)
-        node.grad, node._backward, node._parents = None, _released, ()
+            # the closure gets the gradient's only reference, so it can free it
+            node._backward(_pop_grad(node))
+        node._backward, node._parents = _released, ()
+
+
+def _pop_grad(t: Tensor) -> np.ndarray:
+    g, t.grad = t.grad, None
+    return g
 
 
 # ---------------------------------------------------------------------------
 # convolution cores (shared by conv2d / transposed_conv2d forward + backward)
 # ---------------------------------------------------------------------------
 
-def _flat_pad(xs: Sequence[np.ndarray], p: int, hp: int, wp: int,
-              tail: int = 0) -> np.ndarray:
-    """Zero-pad and stack the inputs' channels into one flat-row buffer.
+def _grid(hw: tuple[int, int], kshape: tuple[int, int], stride: int,
+          padding: int) -> tuple[int, int, int, int]:
+    """(hp, wp, kh, kw): the stride-1 core's input grid, the padded map or
+    at s > 1 its phase fold, and its kernel's extents on that grid."""
+    s = stride
+    return (-(-(hw[0] + 2 * padding) // s), -(-(hw[1] + 2 * padding) // s),
+            -(-kshape[0] // s), -(-kshape[1] // s))
 
-    Returns (N, C, hp*wp + tail) with C the inputs' channel total: each
-    input fills its own channel range, in order, at offset (p, p) of the
-    hp x wp grid, so the buffer equals the padded channel concatenation.
-    The stride-1 cores ask for kW - 1 trailing zeros, so that the last
-    tap's run ends inside the buffer.
+
+def _phases(fold: np.ndarray, x: np.ndarray, s: int, p: int):
+    """Yield (part of fold, part of x) view pairs, one per phase (r, q).
+
+    `fold` is (N, C, s, s, hp, wp): fold[n, c, r, q, a, b] = xpad[n, c,
+    a*s + r, b*s + q], xpad being x padded by p and with zeros up to a
+    multiple of s.  Each pair holds the same pixels of x; at s = 1 the
+    one pair is the padded map's interior and x.
+    """
+    for r in range(s):
+        for q in range(s):
+            # the phase's first fold row and column that fall inside x
+            a, b = -(-(p - r) // s), -(-(p - q) // s)
+            part = x[:, :, a * s + r - p :: s, b * s + q - p :: s]
+            yield fold[:, :, r, q, a : a + part.shape[2], b : b + part.shape[3]], part
+
+
+def _lower(xs: Sequence[np.ndarray], stride: int, padding: int,
+           kshape: tuple[int, int]) -> np.ndarray:
+    """The inputs as the stride-1 core's operand: a zeroed flat-row buffer
+    (N, C*s*s, hp*wp + kw - 1) on its grid, C the inputs' channel total.
+
+    Each input fills its own channel range, in order, so the buffer holds
+    the padded channel concatenation, its s*s phases moved into channels
+    at s > 1 (Shi et al., arXiv 1609.07009).  The kw - 1 trailing zeros,
+    kw the kernel's width on the grid, let the last tap's run end inside
+    the buffer.
     """
     n, _, h, wd = xs[0].shape
+    s = stride
+    hp, wp, _, kw = _grid((h, wd), kshape, s, padding)
     c = sum(x.shape[1] for x in xs)
-    xp = np.zeros((n, c, hp * wp + tail), dtype=np.result_type(*xs))
-    interior = _flat_interior(xp, p, hp, wp, (h, wd))
+    out = np.zeros((n, c * s * s, hp * wp + kw - 1), dtype=np.result_type(*xs))
+    fold = out[:, :, : hp * wp].reshape(n, c, s, s, hp, wp)
     lo = 0
     for x in xs:
-        interior[:, lo : lo + x.shape[1]] = x
+        for part, src in _phases(fold[:, lo : lo + x.shape[1]], x, s, padding):
+            part[...] = src
         lo += x.shape[1]
-    return xp
+    return out
 
 
-def _flat_interior(xp: np.ndarray, p: int, hp: int, wp: int,
-                   hw: tuple[int, int]) -> np.ndarray:
-    """The (N, C, H, W) view at offset (p, p) of a flat-row buffer's hp x wp grid."""
-    n, c, _ = xp.shape
-    return xp[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, p : p + hw[0], p : p + hw[1]]
+def _lower_kernel(w: np.ndarray, stride: int) -> np.ndarray:
+    """The kernel on the core's grid: at s > 1 its phases fold into channels."""
+    if stride == 1:
+        return w
+    oc, _, kh, kw = w.shape
+    s = stride
+    return _lower((w,), s, 0, (1, 1)).reshape(oc, -1, -(-kh // s), -(-kw // s))
 
 
-def _flat_grid(dy: np.ndarray, wp: int) -> np.ndarray:
-    """Zero-fill (N, O, oH, oW) into the padded-width grid (N, O, oH*Wp)."""
-    n, oc, oh, ow = dy.shape
-    grid = np.zeros((n, oc, oh, wp), dtype=dy.dtype)
-    grid[..., :ow] = dy
-    return grid.reshape(n, oc, oh * wp)
+def _unfold(f: np.ndarray, s: int, p: int, hw: tuple[int, int]) -> np.ndarray:
+    """Adjoint of the fold: (N, C*s*s, hp, wp) back to the (N, C, H, W) map."""
+    n, _, hp, wp = f.shape
+    x = np.empty((n, f.shape[1] // (s * s), *hw), f.dtype)
+    for part, dst in _phases(f.reshape(n, -1, s, s, hp, wp), x, s, p):
+        dst[...] = part
+    return x
+
+
+def _dy_layout(shape: tuple, dtype, in_hw: tuple[int, int],
+               kshape: tuple[int, int], stride: int, padding: int):
+    """The output-gradient layout: (buf, grid, dy).
+
+    buf is a zeroed flat-row buffer on the core's wp-wide grid; dy, the
+    (N, O, oH, oW) view that receives the gradient, sits at row kh - 1,
+    column kw - 1 of it, with kh x kw the core's kernel.  grid is buf's
+    (N, O, oH*wp) view from that offset, the weight gradient's operand.
+    """
+    n, oc, oh, ow = shape
+    hp, wp, kh, kw = _grid(in_hw, kshape, stride, padding)
+    # dy ends by hp*wp + kw - 1; the input gradient's taps read rows + kh - 1
+    # rows from start, which ends later unless p > k - 1
+    start, rows = (0, hp) if stride > 1 else (padding * (wp + 1), in_hw[0])
+    buf = np.zeros((n, oc, max(hp * wp, start + (rows + kh - 1) * wp) + kw - 1), dtype)
+    off = (kh - 1) * wp + kw - 1
+    grid = buf[:, :, off : off + oh * wp]
+    return buf, grid, grid.reshape(n, oc, oh, wp)[..., :ow]
 
 
 def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -295,47 +363,8 @@ def _tap_columns(xp: np.ndarray, kh: int, kw: int, wp: int, oh: int):
         yield lo, hi, col.reshape(n, c * t, hi - lo)
 
 
-def _fold(xs: Sequence[np.ndarray], s: int, p: int) -> np.ndarray:
-    """Zero-pad by p up to a multiple of s and move the s*s phases into channels.
-
-    out[n, (c*s + r)*s + q, a, b] = xpad[n, c, a*s + r, b*s + q], with xpad
-    the inputs' padded channel concatenation.
-    """
-    n, _, h, wd = xs[0].shape
-    fh, fw = -(-(h + 2 * p) // s), -(-(wd + 2 * p) // s)
-    xp = _flat_pad(xs, p, fh * s, fw * s)
-    return xp.reshape(n, -1, fh, s, fw, s).transpose(0, 1, 3, 5, 2, 4).reshape(n, -1, fh, fw)
-
-
-def _unfold(f: np.ndarray, s: int, p: int, hw: tuple[int, int]) -> np.ndarray:
-    """Adjoint of `_fold`: interleave the phases back, then crop p and the tail."""
-    n, _, fh, fw = f.shape
-    x = f.reshape(n, -1, s, s, fh, fw).transpose(0, 1, 4, 2, 5, 3)
-    x = x.reshape(n, -1, fh * s, fw * s)
-    return np.ascontiguousarray(x[:, :, p : p + hw[0], p : p + hw[1]])
-
-
-def _conv_core(xs: Sequence[np.ndarray], w: np.ndarray, stride: int,
-               padding: int) -> np.ndarray:
-    """out[n,o,y,x] = sum_{c,i,j} w[o,c,i,j] * xpad[n,c,y*s+i,x*s+j].
-
-    xpad is the inputs' padded channel concatenation.  The result is a
-    cropped view of the padded-width grid.
-    """
-    _, _, h, wd = xs[0].shape
-    _, _, kh, kw = w.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wd + 2 * padding - kw) // stride + 1
-    if stride > 1:
-        out = _conv_core((_fold(xs, stride, padding),), _fold((w,), stride, 0), 1, 0)
-        return out[..., :oh, :ow]
-    wp = wd + 2 * padding
-    xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
-    return _conv_flat(xp, w, oh, wp)[..., :ow]
-
-
 def _conv_flat(xp: np.ndarray, w: np.ndarray, oh: int, wp: int) -> np.ndarray:
-    """The stride-1 core on a flat padded buffer: (N, O, oh, wp) over the
+    """The stride-1 core on a flat-row buffer: (N, O, oh, wp) over the
     padded width, its last kW - 1 columns straddling a row boundary."""
     n, ic = xp.shape[:2]
     oc, _, kh, kw = w.shape
@@ -356,69 +385,53 @@ def _conv_flat(xp: np.ndarray, w: np.ndarray, oh: int, wp: int) -> np.ndarray:
     return acc.reshape(n, oc, oh, wp)
 
 
+def _conv_core(xp: np.ndarray, w: np.ndarray, stride: int, wp: int,
+               out_hw: tuple[int, int]) -> np.ndarray:
+    """out[n,o,y,x] = sum_{c,i,j} w[o,c,i,j] * xpad[n,c,y*s+i,x*s+j], from
+    the lowered input xp; a cropped view of the padded-width grid."""
+    return _conv_flat(xp, _lower_kernel(w, stride), out_hw[0], wp)[..., : out_hw[1]]
+
+
 def _flipped(w: np.ndarray) -> np.ndarray:
     """The input gradient's kernel: flipped in both axes, channel axes exchanged."""
     return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
-def _conv_input_grad(dy: np.ndarray, w: np.ndarray, stride: int, padding: int,
+def _conv_input_grad(buf: np.ndarray, w: np.ndarray, stride: int, padding: int,
                      in_hw: tuple[int, int]) -> np.ndarray:
-    """Adjoint of `_conv_core` in its input: the full correlation of dy
-    with the flipped, transposed kernel."""
-    _, _, kh, kw = w.shape
-    h, wd = in_hw
+    """Adjoint of `_conv_core` in its input, from the output gradient's
+    `_dy_layout` buffer: the core with the flipped, transposed kernel."""
+    hp, wp = _grid(in_hw, w.shape[2:], stride, padding)[:2]
+    wf = _flipped(_lower_kernel(w, stride))
     if stride > 1:
-        fhw = (-(-(h + 2 * padding) // stride), -(-(wd + 2 * padding) // stride))
-        df = _conv_input_grad(dy, _fold((w,), stride, 0), 1, 0, fhw)
-        # when s does not divide H + 2p, the fold's last rows and columns can
-        # lie beyond every tap's reach: their gradient is zero
-        fill = ((0, 0), (0, 0), (0, fhw[0] - df.shape[2]), (0, fhw[1] - df.shape[3]))
-        return _unfold(np.pad(df, fill) if df.shape[2:] != fhw else df,
-                       stride, padding, in_hw)
-    # the full correlation pads dy by k - 1 - padding on each axis; the core
-    # pads both axes by q, and the crop removes what that adds beyond it, or
-    # what a padding > k - 1 would have cut off
-    qh, qw = kh - 1 - padding, kw - 1 - padding
-    q = max(qh, qw, 0)
-    dx = _conv_core((dy,), _flipped(w), 1, q)
-    return dx[..., q - qh : q - qh + h, q - qw : q - qw + wd]
+        df = _conv_flat(buf, wf, hp, wp)
+        del buf  # transposed_conv2d's forward holds no other reference
+        return _unfold(df, stride, padding, in_hw)
+    return _conv_flat(buf[:, :, padding * (wp + 1) :], wf, in_hw[0], wp)[..., : in_hw[1]]
 
 
-def _conv_weight_grad(xs: Sequence[np.ndarray], dy: np.ndarray, stride: int,
-                      padding: int, kshape: tuple[int, int]) -> np.ndarray:
-    """dw[o,c,i,j] = sum_{n,y,x} dy[n,o,y,x] * xpad[n,c,y*s+i,x*s+j]."""
-    kh, kw = kshape
-    if stride > 1:
-        fk = (-(-kh // stride), -(-kw // stride))
-        dwf = _conv_weight_grad((_fold(xs, stride, padding),), dy, 1, 0, fk)
-        return _unfold(dwf, stride, 0, kshape)
-    wp = xs[0].shape[3] + 2 * padding
-    return _weight_grad_flat(xs, _flat_grid(dy, wp), padding, kshape)
-
-
-def _weight_grad_flat(xs: Sequence[np.ndarray], dyf: np.ndarray, padding: int,
-                      kshape: tuple[int, int]) -> np.ndarray:
-    """The stride-1 weight gradient from dy on the padded-width grid:
-    dyf is (N, O, oH*Wp), its last kW - 1 columns of each row zero."""
-    kh, kw = kshape
-    _, _, h, wd = xs[0].shape
-    _, oc, m = dyf.shape
-    wp = wd + 2 * padding
-    oh = m // wp
-    xp = _flat_pad(xs, padding, h + 2 * padding, wp, kw - 1)
+def _conv_weight_grad(xp: np.ndarray, grid: np.ndarray, wp: int,
+                      kshape: tuple[int, int], stride: int) -> np.ndarray:
+    """dw[o,c,i,j] = sum_{n,y,x} dy[n,o,y,x] * xpad[n,c,y*s+i,x*s+j], from
+    the lowered input xp and the output gradient's `_dy_layout` grid."""
+    s = stride
+    kh, kw = -(-kshape[0] // s), -(-kshape[1] // s)
     ic = xp.shape[1]
+    _, oc, m = grid.shape
+    oh = m // wp
     if ic < 2 * oc:
         dwt = np.zeros((ic * kh * kw, oc), dtype=xp.dtype)
         for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
-            dwt += np.matmul(col, dyf[:, :, lo:hi].transpose(0, 2, 1)).sum(axis=0)
-        return dwt.T.reshape(oc, ic, kh, kw)
-    dw = np.zeros((oc, ic, kh, kw), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            off = i * wp + j
-            prod = np.matmul(dyf, xp[:, :, off : off + m].transpose(0, 2, 1))
-            dw[:, :, i, j] = prod.sum(axis=0)
-    return dw
+            dwt += np.matmul(col, grid[:, :, lo:hi].transpose(0, 2, 1)).sum(axis=0)
+        dw = dwt.T.reshape(oc, ic, kh, kw)
+    else:
+        dw = np.zeros((oc, ic, kh, kw), dtype=xp.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                prod = np.matmul(grid, xp[:, :, off : off + m].transpose(0, 2, 1))
+                dw[:, :, i, j] = prod.sum(axis=0)
+    return dw if s == 1 else _unfold(dw, s, 0, kshape)
 
 
 def _check_bias(b: Tensor | None, channels: int, op: str):
@@ -462,17 +475,18 @@ def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _conv_epilogue(y: np.ndarray, xs: tuple[Tensor, ...], w: Tensor,
-                   b: Tensor | None, leaky: bool, input_grad, weight_grad,
-                   pad: int | None = None) -> Tensor:
+                   b: Tensor | None, leaky: bool, operand, input_grad,
+                   weight_grad) -> Tensor:
     """Add the bias, optionally apply leaky in place, and record the op.
 
-    `input_grad(g)` and `weight_grad(g)` are the core's adjoints; each of
-    the inputs `xs` takes its own channel range of `input_grad(g)`.  With
-    `pad` set, the backward writes the (masked) output gradient into the
-    interior of a zeroed flat-row buffer padded by `pad` (`_flat_pad`'s
-    layout, tail 2*pad) and hands the adjoints that buffer instead.  The
-    bias add also packs the core's possibly cropped result, so the
-    in-place activation never writes into an operand.
+    The backward hands the output gradient and the leaky mask (None
+    without one) to `operand`, which returns the input and weight
+    gradients' operands, built once, and the masked gradient.  The
+    incoming gradient is dropped then.  `input_grad` and `weight_grad` are
+    the core's adjoints on those operands; each of the inputs `xs` takes
+    its own channel range of the input gradient.  The bias add also packs
+    the core's possibly cropped result, so the in-place activation never
+    writes into an operand.
     """
     parents = (*xs, w) if b is None else (*xs, w, b)
     y = np.ascontiguousarray(y) if b is None else y + b.data
@@ -483,28 +497,20 @@ def _conv_epilogue(y: np.ndarray, xs: tuple[Tensor, ...], w: Tensor,
         _leaky(y, out=y)
 
     def bwd(g):
-        if pad is None:
-            gp = gi = g if bits is None else np.empty_like(g)
-        else:
-            n, oc, h, wd = g.shape
-            hp, wp = h + 2 * pad, wd + 2 * pad
-            gp = np.zeros((n, oc, hp * wp + 2 * pad), g.dtype)
-            gi = _flat_interior(gp, pad, hp, wp, (h, wd))
-        if bits is not None:
-            _leaky_grad(g, bits, gi)
-        elif gi is not g:
-            gi[...] = g
+        dx_op, dw_op, gm = operand(g, bits)
+        del g
+        if b is not None and b.requires_grad:
+            accumulate_grad(b, gm.sum(axis=(0, 2, 3)).reshape(b.shape))
+        del gm
         if any(x.requires_grad for x in xs):
-            dx = input_grad(gp)
+            dx = input_grad(dx_op)
             lo = 0
             for x in xs:
                 accumulate_grad(x, dx[:, lo : lo + x.shape[1]])
                 lo += x.shape[1]
-            del dx  # freed before the weight gradient pads the input
+            del dx  # freed before the weight gradient lowers the input
         if w.requires_grad:
-            accumulate_grad(w, weight_grad(gp))
-        if b is not None and b.requires_grad:
-            accumulate_grad(b, gi.sum(axis=(0, 2, 3)).reshape(b.shape))
+            accumulate_grad(w, weight_grad(dw_op))
 
     return graph_out(y, parents, bwd)
 
@@ -565,31 +571,26 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
     _check_bias(b, oc, "conv2d")
 
     arrays = [t.data for t in xs]
-    if stride == 1 and kh == kw == 2 * padding + 1:
-        # a "same" conv: dy padded by p is the input gradient's operand, and
-        # its view at flat offset p*Wp + p is the weight gradient's grid
-        wp = wd + 2 * padding
-        grid = slice(padding * wp + padding, (h + padding) * wp + padding)
-        pad = padding
+    wp = _grid((h, wd), (kh, kw), stride, padding)[1]
 
-        def input_grad(gp):
-            return _conv_flat(gp, _flipped(w.data), h, wp)[..., :wd]
-
-        def weight_grad(gp):
-            return _weight_grad_flat(arrays, gp[:, :, grid], padding, (kh, kw))
-    else:
-        pad = None
-
-        def input_grad(g):
-            return _conv_input_grad(g, w.data, stride, padding, (h, wd))
-
-        def weight_grad(g):
-            return _conv_weight_grad(arrays, g, stride, padding, (kh, kw))
+    def operand(g, bits):
+        buf, grid, dy = _dy_layout(g.shape, g.dtype, (h, wd), (kh, kw), stride, padding)
+        if bits is None:
+            dy[...] = g
+        else:
+            _leaky_grad(g, bits, dy)
+        return buf, grid, dy
 
     # the core's result is passed straight in, with no other reference
     # held, so the bias add frees it before the activation's temporary
-    return _conv_epilogue(_conv_core(arrays, w.data, stride, padding), xs, w, b,
-                          leaky, input_grad, weight_grad, pad)
+    return _conv_epilogue(
+        _conv_core(_lower(arrays, stride, padding, (kh, kw)), w.data, stride, wp,
+                   (oh, ow)),
+        xs, w, b, leaky, operand,
+        lambda buf: _conv_input_grad(buf, w.data, stride, padding, (h, wd)),
+        lambda grid: _conv_weight_grad(_lower(arrays, stride, padding, (kh, kw)),
+                                       grid, wp, (kh, kw), stride),
+    )
 
 
 def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -622,11 +623,24 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         )
     _check_bias(b, oc, "transposed_conv2d")
 
+    wp = _grid((oh, ow), (kh, kw), stride, padding)[1]
+
+    def placed():
+        # x as the output gradient of the conv this op is the adjoint of
+        buf, grid, dy = _dy_layout(x.shape, x.dtype, (oh, ow), (kh, kw), stride, padding)
+        dy[...] = x.data
+        return buf, grid
+
+    def operand(g, bits):
+        gm = g if bits is None else _leaky_grad(g, bits, np.empty_like(g))
+        gl = _lower((gm,), stride, padding, (kh, kw))  # one fold for both adjoints
+        return gl, gl, gm
+
     return _conv_epilogue(
-        _conv_input_grad(x.data, w.data, stride, padding, (oh, ow)), (x,), w, b,
-        leaky,
-        lambda g: _conv_core((g,), w.data, stride, padding),
-        lambda g: _conv_weight_grad((g,), x.data, stride, padding, (kh, kw)),
+        _conv_input_grad(placed()[0], w.data, stride, padding, (oh, ow)),
+        (x,), w, b, leaky, operand,
+        lambda gl: _conv_core(gl, w.data, stride, wp, (h, wd)),
+        lambda gl: _conv_weight_grad(gl, placed()[1], wp, (kh, kw), stride),
     )
 
 

@@ -223,8 +223,12 @@ def read_pfm(data: bytes) -> np.ndarray:
         scale = float(tok)
     except ValueError:
         raise CodecError(f"bad PFM scale {tok!r}", start) from None
-    if scale == 0 or not np.isfinite(scale):
-        raise CodecError(f"PFM scale must be finite and nonzero; got {tok!r}", start)
+    # the decoded values are multiplied by |scale| as a float32
+    magnitude = abs(scale)
+    if (not 0 < magnitude <= float(np.finfo(np.float32).max)
+            or np.float32(magnitude) == 0):
+        raise CodecError(
+            f"PFM scale must be finite and nonzero in float32; got {tok!r}", start)
 
     pos += 1  # exactly one whitespace byte separates header and payload
     count = width * height * channels
@@ -237,8 +241,11 @@ def read_pfm(data: bytes) -> np.ndarray:
         )
     dtype = "<f4" if scale < 0 else ">f4"
     values = np.frombuffer(payload, dtype=dtype, count=count).astype(np.float32)
-    if abs(scale) != 1.0:
-        values = values * np.float32(abs(scale))
+    if magnitude != 1.0:
+        # an overflowing product is inf, the value PFM already uses for
+        # unknown pixels
+        with np.errstate(over="ignore"):
+            values = values * np.float32(magnitude)
     if channels == 1:
         return values.reshape(height, width)[::-1].copy()
     img = values.reshape(height, width, 3)[::-1]

@@ -181,6 +181,63 @@ def config_from_scalars(values: dict[str, float]) -> NetworkConfig:
     )
 
 
+def parameter_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order `ShiftConvNet` draws them.
+
+    A conv weight is (out, in, k, k) and a transposed conv's (`*.up.w`)
+    (in, out, k, k); each bias is (1, out, 1, 1).  Nothing is allocated, so
+    a checkpoint's records can be checked against the shapes before a
+    model is built.
+    """
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def conv(name, out_c, in_c, k=3):
+        shapes[name + ".w"] = (out_c, in_c, k, k)
+        shapes[name + ".b"] = (1, out_c, 1, 1)
+
+    def deconv(name, in_c, out_c, k=4):
+        shapes[name + ".w"] = (in_c, out_c, k, k)
+        shapes[name + ".b"] = (1, out_c, 1, 1)
+
+    c_img = config.image_channels
+    f1, f2, f3, f4 = config.feat_channels
+    conv("feat.conv1", f1, c_img)
+    conv("feat.conv2", f2, f1)
+    conv("feat.conv3", f3, f2)
+    conv("feat.conv4", f4, f3)
+
+    if config.cost_volume == SHIFT_CONV:
+        oc, ic, kh, kw = config.shift_cfg.weight_shape(f4)
+        shapes["shift.clue.w"] = (oc, ic, kh, kw)
+        shapes["shift.clue.b"] = (1, oc, 1, 1)
+
+    conv("redir", config.redir_channels, f4)
+
+    cost_c = config.cost_volume_channels()
+    e5, e6, e7, e8 = config.encode_channels
+    conv("enc.conv5", e5, cost_c + config.redir_channels)
+    conv("enc.conv6", e6, e5)
+    conv("enc.conv7", e7, e6)
+    conv("enc.conv8", e8, e7)
+
+    d = config.decode_channels
+    up_in = (e8, d[0], d[1], d[2], d[3], d[4])
+    skip_c = (e7, e6, e5, f4, f4, c_img)
+    for i in range(6):
+        deconv(f"dec.b{i + 1}.up", up_in[i], d[i])
+        conv(f"dec.b{i + 1}.sm", d[i], d[i] + skip_c[i])
+
+    conv("head.small", 1, d[config.small_block_index() - 1])
+    conv("head.coarse", 1, d[5])
+
+    conv("refine.match", AUTO_SHIFT_FILTERS, 2 * c_img)
+    r1, r2 = REFINE_CHANNELS
+    conv("refine.c1", r1, AUTO_SHIFT_FILTERS + 1)
+    conv("refine.c2", r2, r1)
+    conv("refine.c3", 1, r2)
+    return shapes
+
+
 class ShiftConvNet:
     """The trainable model: a name->Tensor parameter dict plus the wiring.
 
@@ -194,63 +251,16 @@ class ShiftConvNet:
         self.config = config
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
-
-        def conv_param(name, out_c, in_c, k=3):
-            std = np.sqrt(2.0 / (in_c * k * k))
-            w = rng.normal(0.0, std, size=(out_c, in_c, k, k))
-            self.params[name + ".w"] = Tensor(w.astype(np.float32),
-                                              requires_grad=True)
-            self.params[name + ".b"] = Tensor(
-                np.zeros((1, out_c, 1, 1), np.float32), requires_grad=True)
-
-        def deconv_param(name, in_c, out_c, k=4):
-            std = np.sqrt(2.0 / (in_c * k * k))
-            w = rng.normal(0.0, std, size=(in_c, out_c, k, k))
-            self.params[name + ".w"] = Tensor(w.astype(np.float32),
-                                              requires_grad=True)
-            self.params[name + ".b"] = Tensor(
-                np.zeros((1, out_c, 1, 1), np.float32), requires_grad=True)
-
-        c_img = config.image_channels
-        f1, f2, f3, f4 = config.feat_channels
-        conv_param("feat.conv1", f1, c_img)
-        conv_param("feat.conv2", f2, f1)
-        conv_param("feat.conv3", f3, f2)
-        conv_param("feat.conv4", f4, f3)
-
-        if config.cost_volume == SHIFT_CONV:
-            oc, ic, kh, kw = config.shift_cfg.weight_shape(f4)
-            std = np.sqrt(2.0 / (ic * kh * kw))
-            w = rng.normal(0.0, std, size=(oc, ic, kh, kw))
-            self.params["shift.clue.w"] = Tensor(w.astype(np.float32),
-                                                 requires_grad=True)
-            self.params["shift.clue.b"] = Tensor(
-                np.zeros((1, oc, 1, 1), np.float32), requires_grad=True)
-
-        conv_param("redir", config.redir_channels, f4)
-
-        cost_c = config.cost_volume_channels()
-        e5, e6, e7, e8 = config.encode_channels
-        conv_param("enc.conv5", e5, cost_c + config.redir_channels)
-        conv_param("enc.conv6", e6, e5)
-        conv_param("enc.conv7", e7, e6)
-        conv_param("enc.conv8", e8, e7)
-
-        d = config.decode_channels
-        up_in = (e8, d[0], d[1], d[2], d[3], d[4])
-        skip_c = (e7, e6, e5, f4, f4, c_img)
-        for i in range(6):
-            deconv_param(f"dec.b{i + 1}.up", up_in[i], d[i])
-            conv_param(f"dec.b{i + 1}.sm", d[i], d[i] + skip_c[i])
-
-        conv_param("head.small", 1, d[config.small_block_index() - 1])
-        conv_param("head.coarse", 1, d[5])
-
-        conv_param("refine.match", AUTO_SHIFT_FILTERS, 2 * c_img)
-        r1, r2 = REFINE_CHANNELS
-        conv_param("refine.c1", r1, AUTO_SHIFT_FILTERS + 1)
-        conv_param("refine.c2", r2, r1)
-        conv_param("refine.c3", 1, r2)
+        for name, shape in parameter_shapes(config).items():
+            if name.endswith(".b"):
+                data = np.zeros(shape, np.float32)
+            else:
+                # fan-in: in_channels * kH * kW, in_channels leading in a
+                # transposed conv's weight
+                in_c = shape[0] if name.endswith(".up.w") else shape[1]
+                std = np.sqrt(2.0 / (in_c * shape[2] * shape[3]))
+                data = rng.normal(0.0, std, size=shape).astype(np.float32)
+            self.params[name] = Tensor(data, requires_grad=True)
 
     # -- parameter access ---------------------------------------------------
 

@@ -29,6 +29,7 @@ from .network import (
     ShiftConvNet,
     config_from_scalars,
     config_to_scalars,
+    parameter_shapes,
 )
 
 
@@ -188,6 +189,11 @@ def read_checkpoint_blob(data: bytes):
             raise CodecError("record name is not UTF-8", pos - name_len) from None
         head, pos = _take(data, pos, 16, f"extents of {name!r}")
         shape = struct.unpack("<4I", head)
+        # numpy refuses a shape whose nonzero extents' byte size overflows
+        # its index type, even when another extent is zero
+        if math.prod(e for e in shape if e) * 4 > np.iinfo(np.intp).max:
+            raise CodecError(f"extents {shape} of {name!r} are too large",
+                             pos - 16)
         count = math.prod(shape)  # Python ints: no int64 wrap-around
         payload, pos = _take(data, pos, count * 4, f"values of {name!r}")
         arr = np.frombuffer(payload, dtype="<f4")
@@ -209,12 +215,19 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     configuration implies; mismatches are reported by name."""
     iteration, stage, records = read_checkpoint_blob(Path(path).read_bytes())
 
-    cfg_values = {k[len("cfg."):]: float(v.reshape(()))
-                  for k, v in records.items() if k.startswith("cfg.")}
-    config = config_from_scalars(cfg_values)
-    model = ShiftConvNet(config, seed=0)
+    def scalar(name):
+        arr = records[name]
+        if arr.size != 1:
+            raise ContractViolation(
+                f"checkpoint record {name!r} holds {arr.size} values, not one")
+        return float(arr.reshape(()))
 
-    expected = set(model.params)
+    config = config_from_scalars({k[len("cfg."):]: scalar(k)
+                                  for k in records if k.startswith("cfg.")})
+    # checked before any model is allocated: the config alone may ask for
+    # arrays far larger than the records the file holds
+    shapes = parameter_shapes(config)
+    expected = set(shapes)
     stored = {k for k in records
               if not k.startswith("cfg.") and not k.startswith("opt.")}
     missing = sorted(expected - stored)
@@ -225,15 +238,16 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             f"missing tensors {missing}, unexpected tensors {extra}"
         )
     mismatched = [
-        f"{name}: stored {records[name].shape}, expected {tuple(model.params[name].shape)}"
+        f"{name}: stored {records[name].shape}, expected {shapes[name]}"
         for name in sorted(expected)
-        if records[name].shape != model.params[name].shape
+        if records[name].shape != shapes[name]
     ]
     if mismatched:
         raise ContractViolation(
             "checkpoint tensor shapes disagree with the configuration: "
             + "; ".join(mismatched)
         )
+    model = ShiftConvNet(config, seed=0)
     for name in expected:
         model.params[name].data = records[name]
 
@@ -256,7 +270,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
                         f"{arr.shape}, expected {tuple(model.params[name].shape)}"
                     )
                 dest[name] = arr
-            optimizer.t[name] = int(records[f"opt.t.{name}"].reshape(()))
+            optimizer.t[name] = int(scalar(f"opt.t.{name}"))
     return LoadedCheckpoint(model=model, optimizer=optimizer,
                             iteration=iteration, stage=stage)
 

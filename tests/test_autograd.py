@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from shiftconvnet.autograd import (
     ContractViolation,
     Tensor,
+    accumulate_grad,
     add,
     backward,
     concat_channels,
     conv2d,
     grad_check,
+    graph_out,
     hslice_pad,
     leaky_relu,
     maxpool2d,
@@ -152,12 +154,15 @@ def _conv_case(stride, padding, k, hw):
 # The channel pairs fall on both sides of the tap-merging rule (in < 2 * out)
 # for the forward, the weight gradient and, with in and out exchanged, the
 # input gradient, at every stride (a stride-s fold multiplies in by s*s);
-# padding beyond k - 1 and non-square kernels make the input gradient's
-# full correlation crop dy instead of padding it.
+# padding beyond k - 1 comes at every stride (at stride 1 the output
+# gradient's rows then end after the input gradient's reads; at stride 3
+# the fold has rows and columns no tap reaches), and non-square kernels
+# place the output gradient at different row and column offsets.
 @pytest.mark.parametrize("stride,padding,k,hw", [
     _conv_case(*case, hw)
     for case in ((1, 0, 1), (1, 0, 3), (1, 1, 3), (1, 2, 5), (2, 1, 3), (2, 0, 4 - 1),
-                 (3, 1, 3), (3, 0, 5), (1, 2, 1), (1, 1, (1, 3)), (2, 1, (3, 1)))
+                 (3, 1, 3), (3, 0, 5), (1, 2, 1), (1, 1, (1, 3)), (2, 1, (3, 1)),
+                 (2, 2, 1), (3, 3, 3))
     for hw in ((7, 8), (1, 2), (2, 1))
 ])
 @pytest.mark.parametrize("cin,cout", [(1, 1), (3, 2), (1, 2), (3, 1), (2, 2), (1, 9), (1, 19)])
@@ -816,15 +821,58 @@ def test_untracked_leaky_conv_frees_the_core_result_before_the_activation():
 
 def test_same_conv_backward_holds_one_padded_gradient_buffer():
     x, w, b = _same_conv()
-    y = conv2d(x, w, b, padding=1, leaky=True)
-    g = rand(y.shape, seed=63, dtype=np.float32)
-    _, _, peak = _traced(lambda: y._backward(g))
     n, c, h, wd = x.shape
     padded = n * c * ((h + 2) * (wd + 2) + 2) * x.data.itemsize
-    # the padded output gradient (as many channels as dx here), dx on the
+
+    def backward_peak(y):
+        # fresh leaves, so that the backward stores their first gradients
+        g = rand(y.shape, seed=63, dtype=np.float32)
+        return _traced(lambda: y._backward(g))[2]
+
+    # the output gradient's buffer (as many channels as dx here), dx on the
     # padded-width grid and the stored x.grad, then the column blocks or
     # the leaky table's block
-    assert peak <= 3 * padded + 2 * TAP_BLOCK_BYTES
+    assert backward_peak(conv2d(x, w, b, padding=1, leaky=True)) <= (
+        3 * padded + 2 * TAP_BLOCK_BYTES)
+    # stride 2: a quarter-size buffer and no copy of dy beside it; with the
+    # stored x.grad, one folded map at a time: dx's fold as it is unfolded,
+    # or x's as the weight gradient reads it (2.27 padded maps; the parent,
+    # which padded dy and x before folding, and folded x twice, 3.53)
+    x, w, b = _same_conv()
+    assert backward_peak(conv2d(x, w, b, stride=2, padding=1, leaky=True)) <= (
+        2 * padded + padded // 4 + TAP_BLOCK_BYTES)
+
+    # the transposed conv's output gradient is folded once, straight from
+    # the masked gradient, for both of its adjoints (1.0 padded map beside
+    # the masked gradient; the parent, which padded it before folding and
+    # folded it twice, 2.57); x's buffer is a quarter map
+    xt = Tensor(rand((1, 32, h // 2, wd // 2), seed=64, dtype=np.float32),
+                requires_grad=True)
+    wt = Tensor(rand((32, 32, 4, 4), seed=65, dtype=np.float32) * 0.1,
+                requires_grad=True)
+    y = transposed_conv2d(xt, wt, _same_conv()[2], leaky=True)
+    assert y.shape == x.shape
+    assert backward_peak(y) <= y.data.nbytes + padded + TAP_BLOCK_BYTES
+
+
+def test_a_closure_holds_the_only_reference_to_its_gradient():
+    # backward detaches an output's gradient before its closure runs, so
+    # the closure can free it as soon as it is done with it (a conv does,
+    # once the masked gradient sits in its operand buffer)
+    x = Tensor(rand((1, 1, 3, 3), seed=38), requires_grad=True)
+    seen = []
+
+    def bwd(g):
+        seen.append(y.grad)
+        accumulate_grad(x, g)  # the first contribution is a copy
+        ref = weakref.ref(g)
+        del g
+        seen.append(ref())
+
+    y = graph_out(x.data.copy(), (x,), bwd)
+    backward(sum_all(mul(y, y)))
+    assert [v is None for v in seen] == [True, True]
+    np.testing.assert_array_equal(x.grad, 2 * x.data)
 
 
 def test_elementwise_grad_checks():

@@ -1,6 +1,8 @@
 """The pair runner's summary and claim verdict on fixed numbers."""
 
 import importlib.util
+import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,3 +74,47 @@ def test_claim_needs_ten_pairs_and_correct_runs():
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
     assert bench_pairs.parse_seeds("11") == [11]
+
+
+@pytest.mark.parametrize("claim, message", [
+    ("train-full", "not WORKLOAD:METRIC"),
+    ("infer-full:peak_rss_mb", "not given as a --workload"),
+    ("train-full:peak_rss", "not an end-to-end metric"),
+])
+def test_bad_claim_is_a_usage_error_before_any_run(monkeypatch, capsys, claim, message):
+    def no_runs(*args):
+        raise AssertionError("a run started before --claim was checked")
+
+    monkeypatch.setattr(bench_pairs, "checkout", no_runs)
+    monkeypatch.setattr(bench_pairs, "run_once", no_runs)
+    with pytest.raises(SystemExit) as e:
+        bench_pairs.main(["p", "c", "--workload", "train-full", "--seeds", "1",
+                          "--claim", claim, "--out", "never.json"])
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_valid_claim_gets_its_verdict(monkeypatch, tmp_path):
+    spec = bench_pairs.benchmark_spec()
+
+    @contextmanager
+    def checkout(ref):
+        yield Path(ref)
+
+    def run_once(tree, workload, seed):
+        value = 500.0 if tree.name == "change" else 600.0 + seed
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {name: {"value": value, "unit": m["unit"]}
+                            for name, m in spec.items()}}
+
+    monkeypatch.setattr(bench_pairs, "checkout", checkout)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "machine", lambda tree: {})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["parent", "change", "--workload", "train-full",
+                             "--seeds", "1-10", "--held-out", "11",
+                             "--claim", "train-full:peak_rss_mb",
+                             "--out", str(out)]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert (claim["metric"], claim["wins"], claim["verdict"]) == (
+        "peak_rss_mb", "11 of 11", "met")

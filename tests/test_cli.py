@@ -476,6 +476,17 @@ def with_cfg_scalar(key, value):
     return with_value(f"cfg.{key}", value)
 
 
+def with_record(name, values):
+    """A valid checkpoint, optimizer state included, with record `name`
+    holding `values` as a (len(values), 1, 1, 1) array."""
+    model = ShiftConvNet(tiny_config(), seed=0)
+    blob = checkpoint_bytes(model, Adam(model.params), 0, 1)
+    at = payload_offset(blob, name)
+    count = np.prod(struct.unpack("<4I", blob[at - 16 : at]))
+    return (blob[: at - 16] + struct.pack("<4I", len(values), 1, 1, 1)
+            + np.asarray(values, "<f4").tobytes() + blob[at + 4 * count :])
+
+
 @pytest.mark.parametrize("make_blob", [
     pytest.param(lambda: CKPT_HEADER + struct.pack("<I", 2) + b"\xff\xfe",
                  id="name-not-utf8"),
@@ -489,14 +500,30 @@ def with_cfg_scalar(key, value):
                  id="nan-weight"),
     pytest.param(lambda: with_value("opt.v.feat.conv1.w", float("inf")),
                  id="inf-moment"),
+    # a zero extent leaves no values to read, but numpy still refuses the
+    # shape: its other extents' byte size overflows
+    pytest.param(lambda: CKPT_HEADER + struct.pack("<I", 1) + b"x"
+                 + struct.pack("<4I", 0, *[2**32 - 1] * 3), id="extents-too-large"),
+    pytest.param(lambda: with_record("cfg.maxdisp", [1.0, 1.0]),
+                 id="two-value-cfg-scalar"),
+    pytest.param(lambda: with_record("opt.t.redir.w", [1.0, 1.0]),
+                 id="two-value-step-count"),
+    # 1e9 clue filters imply a 2 TiB encoder weight: the stored shapes must
+    # be rejected before any model is allocated
+    pytest.param(lambda: with_cfg_scalar("clue_filters", 1e9),
+                 id="config-implies-huge-model"),
 ])
 def test_cli_corrupt_checkpoint_exits_2(tmp_path, capsys, make_blob):
-    # a loadable dataset, so only the checkpoint can fail the run
+    # a loadable dataset and image pair, so only the checkpoint can fail
     data = tmp_path / "data"
     write_dataset(data, [gen_synthetic_pair(SynthConfig(width=64, height=64))])
     ckpt = tmp_path / "corrupt.scnc"
     ckpt.write_bytes(make_blob())
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    left, right = (str(data / side / "000000.pgm") for side in ("left", "right"))
+    assert main(["infer", "--ckpt", str(ckpt), "--left", left, "--right", right,
+                 "--out", str(tmp_path / "d.pfm")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -193,9 +193,11 @@ def test_pfm_errors_carry_byte_offsets():
         read_pfm(good[:-4])
     assert e.value.offset == len(good) - 4
 
-    with pytest.raises(CodecError, match="nonzero"):
-        read_pfm(b"Pf\n1 1\n0.0\n" + b"\0" * 4)
-    for token in (b"nan", b"inf", b"-inf"):
+    for token in (b"0.0", b"1e-50"):  # 1e-50 is 0 in float32
+        with pytest.raises(CodecError, match="nonzero"):
+            read_pfm(b"Pf\n1 1\n" + token + b"\n" + b"\0" * 4)
+    # 1e39 is finite, but overflows float32: the values would decode to inf
+    for token in (b"nan", b"inf", b"-inf", b"1e39", b"-1e39"):
         with pytest.raises(CodecError, match="finite") as e:
             read_pfm(b"Pf\n3 1\n" + token + b"\n" + b"\0" * 12)
         assert e.value.offset == 7

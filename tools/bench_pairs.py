@@ -219,8 +219,17 @@ def main(argv=None) -> int:
     ap.add_argument("--change-note", default="")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-
     spec = benchmark_spec()
+    # checked before any run: a bad claim would otherwise fail after hours
+    claim = None if args.claim is None else args.claim.partition(":")
+    if claim and not claim[1]:
+        ap.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC")
+    if claim and claim[0] not in args.workload:
+        ap.error(f"--claim workload {claim[0]!r} is not given as a --workload")
+    if claim and claim[2] not in spec:
+        ap.error(f"--claim metric {claim[2]!r} is not an end-to-end metric "
+                 f"of BENCHMARK.json: {sorted(spec)}")
+
     seeds = args.seeds + args.held_out
     with ExitStack() as stack:
         trees = {side: stack.enter_context(checkout(ref))
@@ -240,8 +249,8 @@ def main(argv=None) -> int:
                           f"{json.dumps(pair[side])}", file=sys.stderr, flush=True)
                 pairs.append(pair)
             report["workloads"][workload] = summarize(pairs, spec, args.held_out)
-    if args.claim:
-        workload, metric = args.claim.split(":")
+    if claim:
+        workload, _, metric = claim
         report["claim"] = claim_verdict(report["workloads"][workload], workload,
                                         metric, spec[metric]["better"])
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
