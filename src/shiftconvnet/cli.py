@@ -8,6 +8,7 @@ Subcommands: `gen` (synthetic dataset), `train`, `eval`, `ablate`, `infer`,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -21,6 +22,7 @@ from .config import (
     train_config_from,
 )
 from .data import (
+    SYNTH_COUNT,
     CodecError,
     SynthConfig,
     encode_disparity_pnm,
@@ -32,6 +34,7 @@ from .data import (
 )
 from .network import CORRELATION, SHIFT_CONV, ShiftConvNet
 from .training import (
+    BENCH_REPEATS,
     Adam,
     NumericalError,
     ablation_suite,
@@ -59,6 +62,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number; got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftconvnet",
                      description="Stereo disparity network with a "
@@ -67,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a synthetic stereo dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--count", type=_positive_int, default=4)
+    p.add_argument("--count", type=_positive_int, default=SYNTH_COUNT)
     synth = SynthConfig()
     for f in fields(synth):
         default = getattr(synth, f.name)
@@ -104,16 +115,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--out", required=True,
                    help="output path; .pfm for float, else 8-bit PGM")
-    p.add_argument("--disp-cap", type=float, default=None,
+    p.add_argument("--disp-cap", type=_positive_float, default=None,
                    help="disparity mapped to full PGM brightness "
                         "(default 4*maxdisp)")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("bench", help="time the forward pass")
     p.add_argument("--config", required=True)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=128)
-    p.add_argument("--repeats", type=_positive_int, default=5)
+    p.add_argument("--height", type=_positive_int, default=64)
+    p.add_argument("--width", type=_positive_int, default=128)
+    p.add_argument("--repeats", type=_positive_int, default=BENCH_REPEATS)
     p.set_defaults(func=_cmd_bench)
     return parser
 

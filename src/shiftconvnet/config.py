@@ -11,6 +11,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 from .data import (
+    SYNTH_COUNT,
     CodecError,
     SynthConfig,
     gen_synthetic_pair,
@@ -157,7 +158,7 @@ def load_samples_from(cm: ConfigMap) -> list:
     """Samples from `data_root` if set, otherwise generated in memory."""
     root = cm.get_str("data_root")
     synth_given = [k for k in _SYNTH_KEYS if cm.has(k)]
-    count = cm.get_int("synth_count", 4)
+    count = cm.get_int("synth_count", SYNTH_COUNT)
     synth = _config_from(cm, SynthConfig(), "synth_")
     if root is not None:
         if synth_given:

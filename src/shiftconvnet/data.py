@@ -54,6 +54,8 @@ class StereoSample:
 # the side of the smallest rectangle the generator paints, and so the
 # smallest image extent it can paint one into
 MIN_EXTENT = 4
+# pairs generated when neither `gen --count` nor `synth_count` is given
+SYNTH_COUNT = 4
 
 
 @dataclass
@@ -166,7 +168,6 @@ def gen_synthetic_pair(cfg: SynthConfig) -> StereoSample:
     xs = np.arange(w)[None, :]
     target = xs - gt.astype(np.int64)
     in_view = (target >= 0) & (target < w)
-    same_owner = np.zeros((h, w), dtype=bool)
     tclip = np.clip(target, 0, w - 1)
     ys = np.arange(h)[:, None]
     same_owner = owner_right[ys, tclip] == owner_left
@@ -355,8 +356,9 @@ def write_pnm(array: np.ndarray, maxval: int = 255) -> bytes:
 
 def encode_disparity_pnm(disp: np.ndarray, disp_cap: float) -> bytes:
     """Map disparities [0, disp_cap] linearly onto an 8-bit PGM."""
-    if disp_cap <= 0:
-        raise ContractViolation(f"disp_cap must be positive; got {disp_cap}")
+    if not 0 < disp_cap < np.inf:
+        raise ContractViolation(
+            f"disp_cap must be positive and finite; got {disp_cap}")
     return write_pnm(np.clip(np.asarray(disp, np.float32) / disp_cap, 0, 1))
 
 

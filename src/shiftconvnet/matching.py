@@ -245,9 +245,13 @@ def warp_horizontal(source: Tensor, disparity: np.ndarray) -> Tensor:
     return graph_out(out, (source,), bwd)
 
 
+# the refinement head's sweep around its guide disparity: deltas -2 .. 2
+AUTO_SHIFT_DELTA_RANGE = 2
+
+
 def auto_shift_conv(left_img: Tensor, right_img: Tensor, base_disp: np.ndarray,
                     w: Tensor, b: Tensor | None = None,
-                    delta_range: int = 2) -> Tensor:
+                    delta_range: int = AUTO_SHIFT_DELTA_RANGE) -> Tensor:
     """Disparity-guided matching map on the image pair.
 
     For each delta in [-delta_range, delta_range] the right image is warped

@@ -262,6 +262,16 @@ class ShiftConvNet:
                 data = rng.normal(0.0, std, size=shape).astype(np.float32)
             self.params[name] = Tensor(data, requires_grad=True)
 
+    @classmethod
+    def from_arrays(cls, config: NetworkConfig, arrays) -> "ShiftConvNet":
+        """A model whose parameters are `arrays[name]`, taken as they are,
+        for every name of `parameter_shapes(config)`: nothing is drawn."""
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = {name: Tensor(arrays[name], requires_grad=True)
+                        for name in parameter_shapes(config)}
+        return model
+
     # -- parameter access ---------------------------------------------------
 
     def zero_grad(self):

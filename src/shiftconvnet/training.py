@@ -121,6 +121,7 @@ class Adam:
 
 CHECKPOINT_MAGIC = b"SCNC"
 CHECKPOINT_VERSION = 1
+SCALAR_EXTENTS = (1, 1, 1, 1)
 
 
 @dataclass
@@ -132,7 +133,7 @@ class LoadedCheckpoint:
 
 
 def _checkpoint_records(model: ShiftConvNet, optimizer: Adam | None):
-    records = {f"cfg.{k}": np.full((1, 1, 1, 1), v, np.float32)
+    records = {f"cfg.{k}": np.full(SCALAR_EXTENTS, v, np.float32)
                for k, v in config_to_scalars(model.config).items()}
     for name, p in model.params.items():
         records[name] = p.data
@@ -141,7 +142,7 @@ def _checkpoint_records(model: ShiftConvNet, optimizer: Adam | None):
             records[f"opt.m.{name}"] = optimizer.m[name]
             records[f"opt.v.{name}"] = optimizer.v[name]
             records[f"opt.t.{name}"] = np.full(
-                (1, 1, 1, 1), optimizer.t[name], np.float32)
+                SCALAR_EXTENTS, optimizer.t[name], np.float32)
     return records
 
 
@@ -211,66 +212,56 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     """Rebuild model and optimizer from a checkpoint file.
 
     The network configuration is embedded as cfg.* scalars, so nothing but
-    the file is needed.  Every parameter must be present with the shape the
-    configuration implies; mismatches are reported by name."""
+    the file is needed.  The records must be exactly those `checkpoint_bytes`
+    writes for that configuration, optimizer state being all or nothing.
+    Their names and shapes are compared with that table before anything is
+    allocated, and one error names every missing, unexpected and mis-shaped
+    record.  Adam cannot continue from a step count that is not a whole
+    number >= 0 or from a negative second moment, so those are rejected by
+    name too.  The model takes the stored arrays as they are."""
     iteration, stage, records = read_checkpoint_blob(Path(path).read_bytes())
-
-    def scalar(name):
-        arr = records[name]
-        if arr.size != 1:
-            raise ContractViolation(
-                f"checkpoint record {name!r} holds {arr.size} values, not one")
-        return float(arr.reshape(()))
-
-    config = config_from_scalars({k[len("cfg."):]: scalar(k)
-                                  for k in records if k.startswith("cfg.")})
-    # checked before any model is allocated: the config alone may ask for
+    # a cfg.* record of the wrong shape is reported with the others below
+    config = config_from_scalars({name[len("cfg."):]: float(arr.flat[0])
+                                  for name, arr in records.items()
+                                  if name.startswith("cfg.") and arr.size})
+    # compared before any model is allocated: the config alone may ask for
     # arrays far larger than the records the file holds
     shapes = parameter_shapes(config)
-    expected = set(shapes)
-    stored = {k for k in records
-              if not k.startswith("cfg.") and not k.startswith("opt.")}
-    missing = sorted(expected - stored)
-    extra = sorted(stored - expected)
-    if missing or extra:
+    table = {f"cfg.{k}": SCALAR_EXTENTS for k in config_to_scalars(config)} | shapes
+    with_optimizer = any(name.startswith("opt.") for name in records)
+    if with_optimizer:
+        for name, shape in shapes.items():
+            table |= {f"opt.m.{name}": shape, f"opt.v.{name}": shape,
+                      f"opt.t.{name}": SCALAR_EXTENTS}
+    stored = {name: arr.shape for name, arr in records.items()}
+    if stored != table:
+        problems = {
+            "missing": sorted(table.keys() - stored.keys()),
+            "unexpected": sorted(stored.keys() - table.keys()),
+            "mis-shaped": [f"{name} stored {stored[name]}, expected {table[name]}"
+                           for name in sorted(table.keys() & stored.keys())
+                           if stored[name] != table[name]],
+        }
         raise ContractViolation(
-            f"checkpoint does not match its configuration: "
-            f"missing tensors {missing}, unexpected tensors {extra}"
-        )
-    mismatched = [
-        f"{name}: stored {records[name].shape}, expected {shapes[name]}"
-        for name in sorted(expected)
-        if records[name].shape != shapes[name]
-    ]
-    if mismatched:
+            "checkpoint records disagree with its configuration: "
+            + "; ".join(f"{kind} {names}" for kind, names in problems.items()
+                        if names))
+    unusable = sorted(
+        name for name, arr in records.items()
+        if name.startswith("opt.t.") and (arr.flat[0] < 0 or arr.flat[0] % 1)
+        or name.startswith("opt.v.") and (arr < 0).any())
+    if unusable:
         raise ContractViolation(
-            "checkpoint tensor shapes disagree with the configuration: "
-            + "; ".join(mismatched)
-        )
-    model = ShiftConvNet(config, seed=0)
-    for name in expected:
-        model.params[name].data = records[name]
+            f"optimizer records {unusable} hold a step count that is not a "
+            f"whole number >= 0 or a negative second moment")
 
+    model = ShiftConvNet.from_arrays(config, records)
     optimizer = Adam(model.params)
-    opt_records = {k for k in records if k.startswith("opt.")}
-    if opt_records:
-        needed = {f"opt.{kind}.{n}" for kind in ("m", "v", "t") for n in expected}
-        missing_opt = sorted(needed - opt_records)
-        if missing_opt or sorted(opt_records - needed):
-            raise ContractViolation(
-                f"optimizer state incomplete: missing {missing_opt}, "
-                f"unexpected {sorted(opt_records - needed)}"
-            )
-        for name in expected:
-            for kind, dest in (("m", optimizer.m), ("v", optimizer.v)):
-                arr = records[f"opt.{kind}.{name}"]
-                if arr.shape != model.params[name].shape:
-                    raise ContractViolation(
-                        f"optimizer moment opt.{kind}.{name} has shape "
-                        f"{arr.shape}, expected {tuple(model.params[name].shape)}"
-                    )
-                dest[name] = arr
-            optimizer.t[name] = int(scalar(f"opt.t.{name}"))
+    if with_optimizer:
+        optimizer.m = {name: records[f"opt.m.{name}"] for name in shapes}
+        optimizer.v = {name: records[f"opt.v.{name}"] for name in shapes}
+        optimizer.t = {name: int(records[f"opt.t.{name}"].flat[0])
+                       for name in shapes}
     return LoadedCheckpoint(model=model, optimizer=optimizer,
                             iteration=iteration, stage=stage)
 
@@ -477,6 +468,12 @@ def predict_disparity(model: ShiftConvNet, left: np.ndarray, right: np.ndarray,
     return out.coarse_disp.data[0, 0, :h, :w], refined
 
 
+# Timing of the evaluation and ablation forwards: untimed warm-up rounds,
+# then at least this many timed rounds.
+WARMUP_ROUNDS = 2
+TIMED_ROUNDS = 10
+
+
 def forward_seconds(forwards, warmup: int, rounds: int,
                     min_seconds: float = 0.0) -> list:
     """Mean wall time of each callable in `forwards`, called with the round
@@ -504,7 +501,7 @@ def forward_seconds(forwards, warmup: int, rounds: int,
 
 
 def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
-             warmup: int = 2, timed_forwards: int = 10,
+             warmup: int = WARMUP_ROUNDS, timed_forwards: int = TIMED_ROUNDS,
              predict=None) -> EvalReport:
     """Per-sample EPE/D1 plus mean forward wall time (see `forward_seconds`).
 
@@ -565,11 +562,9 @@ def evaluate(model: ShiftConvNet, samples, refine: bool | None = None,
 # ---------------------------------------------------------------------------
 
 ABLATION_FILTER_COUNTS = (8, 12, 16)
-# Timing of the ablation cells.  A budget of seconds, not only a count of
+# A budget of seconds for timing the ablation cells, not only a count of
 # rounds, keeps each cell's sample large when a forward is short, so one
 # stall of the host moves its trimmed mean little.
-ABLATION_WARMUP_ROUNDS = 2
-ABLATION_TIMED_ROUNDS = 10
 ABLATION_TIMING_SECONDS = 2.0
 
 
@@ -612,7 +607,7 @@ def ablation_suite(samples, base_cfg: NetworkConfig, train_cfg: TrainConfig,
     the fixed correlation cost volume; every cell starts from the same
     initialization seed and trains stage 1 for the same iteration count.
     The trained cells are timed together, in interleaved rounds, for at
-    least ABLATION_TIMED_ROUNDS rounds and ABLATION_TIMING_SECONDS."""
+    least TIMED_ROUNDS rounds and ABLATION_TIMING_SECONDS."""
     iters = train_cfg.stage1_iters if iterations is None else iterations
     cells = []
     for variant in (CONV_THEN_CONCAT, CONCAT_THEN_CONV):
@@ -647,8 +642,7 @@ def ablation_suite(samples, base_cfg: NetworkConfig, train_cfg: TrainConfig,
         seconds = forward_seconds(
             [lambda i, m=model: predict_disparity(m, *pairs[i % len(pairs)], False)
              for model in models],
-            ABLATION_WARMUP_ROUNDS, ABLATION_TIMED_ROUNDS,
-            ABLATION_TIMING_SECONDS)
+            WARMUP_ROUNDS, TIMED_ROUNDS, ABLATION_TIMING_SECONDS)
     rows = [AblationRow(cost_volume=label, filters=filters,
                         mean_forward_seconds=t, epe=e)
             for (label, filters, _), t, e in zip(cells, seconds, epes)]
@@ -659,8 +653,12 @@ def parameter_count(model: ShiftConvNet) -> int:
     return int(sum(p.data.size for p in model.params.values()))
 
 
+BENCH_REPEATS = 5
+
+
 def bench_forward(cfg: NetworkConfig, height: int, width: int,
-                  warmup: int = 2, repeats: int = 5, seed: int = 0) -> dict:
+                  warmup: int = 2, repeats: int = BENCH_REPEATS,
+                  seed: int = 0) -> dict:
     """Wall-time the full forward pass on random images."""
     if repeats < 1:
         raise ContractViolation(f"bench needs at least one timed run; got {repeats}")

@@ -94,6 +94,26 @@ def test_bad_claim_is_a_usage_error_before_any_run(monkeypatch, capsys, claim, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--workload", "train-full", "--workload", "train-ful", "--seeds", "1"],
+     "'train-ful'] is not a workload"),
+    (["--workload", "train-full", "--seeds", "5-3"], "'5-3' is empty"),
+    (["--workload", "train-full", "--seeds", "1-10", "--held-out", "10"],
+     "[10] are also in --seeds"),
+], ids=["misspelt-second-workload", "descending-seeds", "held-out-in-seeds"])
+def test_bad_run_is_a_usage_error_before_any_run(monkeypatch, capsys, flags,
+                                                 message):
+    def no_runs(*args):
+        raise AssertionError("a run started before the arguments were checked")
+
+    monkeypatch.setattr(bench_pairs, "checkout", no_runs)
+    monkeypatch.setattr(bench_pairs, "run_once", no_runs)
+    with pytest.raises(SystemExit) as e:
+        bench_pairs.main(["p", "c", "--out", "never.json"] + flags)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_a_valid_claim_gets_its_verdict(monkeypatch, tmp_path):
     spec = bench_pairs.benchmark_spec()
 

@@ -260,9 +260,14 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     ["bench", "--config", "x", "--repeats", "-1"],
     ["gen", "--count", "-1"],
     ["gen", "--count", "0"],
-], ids=["repeats-0", "repeats-neg", "count-neg", "count-0"])
+    ["bench", "--config", "x", "--height", "-64"],
+    ["bench", "--config", "x", "--height", "0"],
+    ["bench", "--config", "x", "--width", "0"],
+], ids=["repeats-0", "repeats-neg", "count-neg", "count-0", "height-neg",
+        "height-0", "width-0"])
 def test_cli_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
-    # rejected while parsing: no config is read and no dataset is written
+    # rejected while parsing: no config is read, no model is built and no
+    # dataset is written
     if argv[0] == "gen":
         argv = argv + ["--out", str(tmp_path / "data")]
     assert main(argv) == 1
@@ -302,6 +307,16 @@ def test_cli_train_rejects_out_of_range_synth_keys(tmp_path, capsys,
                  "--out", str(ckpt)]) == 2
     assert match in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "-1", "0"])
+def test_cli_infer_disp_cap_must_be_positive_and_finite(tmp_path, capsys, cap):
+    # rejected while parsing, before the checkpoint is read or a forward runs
+    out = tmp_path / "d.pgm"
+    assert main(["infer", "--ckpt", "x", "--left", "l", "--right", "r",
+                 "--out", str(out), "--disp-cap", cap]) == 1
+    assert "positive finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generator_paints_at_its_smallest_extent():
@@ -487,6 +502,16 @@ def with_record(name, values):
             + np.asarray(values, "<f4").tobytes() + blob[at + 4 * count :])
 
 
+def with_extra_record(name):
+    """A valid checkpoint, optimizer state included, plus one (1, 1, 1, 1)
+    record `name` holding 1.0."""
+    model = ShiftConvNet(tiny_config(), seed=0)
+    key = name.encode()
+    return (checkpoint_bytes(model, Adam(model.params), 0, 1)
+            + struct.pack("<I", len(key)) + key + struct.pack("<4I", 1, 1, 1, 1)
+            + struct.pack("<f", 1.0))
+
+
 @pytest.mark.parametrize("make_blob", [
     pytest.param(lambda: CKPT_HEADER + struct.pack("<I", 2) + b"\xff\xfe",
                  id="name-not-utf8"),
@@ -512,6 +537,15 @@ def with_record(name, values):
     # be rejected before any model is allocated
     pytest.param(lambda: with_cfg_scalar("clue_filters", 1e9),
                  id="config-implies-huge-model"),
+    pytest.param(lambda: with_extra_record("cfg.zzz"), id="stray-cfg-scalar"),
+    # Adam's bias correction divides by 1 - beta**t, which is 0 at t = -1
+    pytest.param(lambda: with_value("opt.t.redir.w", -1.0),
+                 id="negative-step-count"),
+    pytest.param(lambda: with_value("opt.t.redir.w", 0.5),
+                 id="fractional-step-count"),
+    # its step takes the square root of the second moment
+    pytest.param(lambda: with_value("opt.v.redir.w", -1.0),
+                 id="negative-second-moment"),
 ])
 def test_cli_corrupt_checkpoint_exits_2(tmp_path, capsys, make_blob):
     # a loadable dataset and image pair, so only the checkpoint can fail
@@ -525,6 +559,19 @@ def test_cli_corrupt_checkpoint_exits_2(tmp_path, capsys, make_blob):
     assert main(["infer", "--ckpt", str(ckpt), "--left", left, "--right", right,
                  "--out", str(tmp_path / "d.pfm")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_resume_from_unusable_optimizer_state_exits_2(tmp_path, capsys):
+    # before the check, t = -1 loaded and the first step wrote NaN into
+    # every parameter (exit 3)
+    cfg = write_config(tmp_path / "run.cfg")
+    ckpt = tmp_path / "bad.scnc"
+    ckpt.write_bytes(with_value("opt.t.redir.w", -1.0))
+    out = tmp_path / "out.scnc"
+    assert main(["train", "--stage", "1", "--config", cfg, "--resume",
+                 str(ckpt), "--out", str(out)]) == 2
+    assert "opt.t.redir.w" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, value", [("head.coarse.b", float("nan")),

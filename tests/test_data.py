@@ -282,8 +282,9 @@ def test_encode_disparity_pnm():
     data = encode_disparity_pnm(disp, disp_cap=8.0)
     back = read_pnm(data)[0]
     np.testing.assert_allclose(back * 8.0, [[0.0, 4.0, 8.0, 8.0]], atol=8 / 255)
-    with pytest.raises(ContractViolation):
-        encode_disparity_pnm(disp, disp_cap=0.0)
+    for cap in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="positive and finite"):
+            encode_disparity_pnm(disp, disp_cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,68 @@ def test_checkpoint_shape_mismatch_is_reported(tmp_path):
         load_checkpoint(path)
 
 
+def stepped_adam(model):
+    """An Adam over `model` after one step, so no moment is zero."""
+    opt = Adam(model.params)
+    rng = np.random.default_rng(7)
+    for p in model.params.values():
+        p.grad = rng.standard_normal(p.shape).astype(np.float32)
+    opt.step(1e-3)
+    return opt
+
+
+def test_desk_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    model = ShiftConvNet(desk_config(), seed=3)
+    blob = checkpoint_bytes(model, stepped_adam(model), iteration=40, stage=2)
+    path = tmp_path / "desk.scnc"
+    path.write_bytes(blob)
+    loaded = load_checkpoint(path)
+    assert checkpoint_bytes(loaded.model, loaded.optimizer, 40, 2) == blob
+
+
+def test_checkpoint_load_draws_no_random_model(tmp_path, monkeypatch):
+    model = ShiftConvNet(tiny_config(), seed=11)
+    path = tmp_path / "f.scnc"
+    save_checkpoint(path, model, stepped_adam(model), 5, 1)
+
+    def drawn(self, *args, **kwargs):
+        raise AssertionError("load_checkpoint drew a random model")
+
+    monkeypatch.setattr(ShiftConvNet, "__init__", drawn)
+    loaded = load_checkpoint(path)
+    assert list(loaded.model.params) == list(model.params)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(loaded.model.params[name].data, p.data)
+        assert loaded.model.params[name].requires_grad
+
+
+def test_checkpoint_without_optimizer_state_gets_a_fresh_adam(tmp_path):
+    model = ShiftConvNet(tiny_config(), seed=12)
+    path = tmp_path / "g.scnc"
+    save_checkpoint(path, model, None, 0, 1)
+    loaded = load_checkpoint(path)
+    assert loaded.optimizer.params is loaded.model.params
+    # zero moments of every parameter's shape, and step counts of 0
+    assert (checkpoint_bytes(loaded.model, loaded.optimizer, 0, 1)
+            == checkpoint_bytes(model, Adam(model.params), 0, 1))
+
+
+def test_checkpoint_names_every_disagreeing_record_at_once(tmp_path):
+    model = ShiftConvNet(tiny_config(), seed=13)
+    del model.params["head.coarse.b"]
+    model.params["head.small.b"] = Tensor(np.zeros((1, 2, 1, 1), np.float32))
+    model.params["stray.w"] = scalar_param(0.0)
+    path = tmp_path / "h.scnc"
+    save_checkpoint(path, model, Adam(model.params), 0, 1)
+    with pytest.raises(ContractViolation) as e:
+        load_checkpoint(path)
+    message = str(e.value)
+    for name in ("head.coarse.b", "opt.t.head.coarse.b", "stray.w",
+                 "opt.v.stray.w", "head.small.b stored (1, 2, 1, 1), "
+                 "expected (1, 1, 1, 1)", "opt.m.head.small.b stored"):
+        assert name in message
+
+
 # ---------------------------------------------------------------------------
 # batch order
 # ---------------------------------------------------------------------------

@@ -149,6 +149,11 @@ def benchmark_spec(root: Path = ROOT) -> dict:
                         "better": m["better"]} for m in spec["end_to_end"]}
 
 
+def benchmark_workloads(root: Path = ROOT) -> list[str]:
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
+
+
 def machine(checkout: Path) -> dict:
     # BLAS_THREADS is read from the checkout's run.py, which sets it
     probe = ("import json, numpy, perfbench.run as r; b = numpy.show_config("
@@ -200,11 +205,14 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,2,5' or a mix: '1-3,7'."""
+    """'1-10' or '1,2,5' or a mix: '1-3,7'.  A range must not descend."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} is empty")
+        seeds += span
     return seeds
 
 
@@ -220,7 +228,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     spec = benchmark_spec()
-    # checked before any run: a bad claim would otherwise fail after hours
+    # checked before any run: a bad argument would otherwise fail after hours
+    known = benchmark_workloads()
+    unknown = sorted(set(args.workload) - set(known))
+    if unknown:
+        ap.error(f"--workload {unknown} is not a workload of BENCHMARK.json: "
+                 f"{known}")
+    reused = sorted(set(args.held_out) & set(args.seeds))
+    if reused:
+        ap.error(f"--held-out seeds {reused} are also in --seeds")
     claim = None if args.claim is None else args.claim.partition(":")
     if claim and not claim[1]:
         ap.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC")
