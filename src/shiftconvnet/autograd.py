@@ -27,8 +27,19 @@ flattened, with Hp, Wp the padded extents.  Computed over the padded width,
 output pixel m = y*Wp + x reads tap (i, j) at flat index m + i*Wp + j, so
 each tap's operand for a run of pixels is one contiguous run of the buffer,
 offset by i*Wp + j.  The last kW - 1 columns of each output row straddle a
-row boundary; the forward crops them once, and the output gradient's
-layout (below) puts zeros under them.  How the taps meet the kernel
+row boundary.  The forward keeps them: its epilogue adds the bias and
+applies the activation in place over the flat (N, O, oH*Wp) planes, then
+zeroes those columns, and the output's data is the (N, O, oH, oW) view.
+The output gradient's layout (below) puts zeros under them.
+
+A "same" conv (stride 1, padding 1, 3x3: every stride-1 conv of the
+network) has oH = H and Wp = W + 2 = oW + 2, so its zeroed wrap columns
+are exactly the padding columns of a map of its own size.  It writes its
+core's result at flat offset Wp + 1 of an (N, O, (H+2)*Wp + 2) buffer
+whose ring around those rows is zeroed, which is then, bit for bit, the
+operand a same conv lowers that output to: the output is born padded.  A same conv whose one input was
+born so reads that buffer as its operand, in the forward and in the weight
+gradient, and lowers nothing.  How the taps meet the kernel
 depends on its shape.  When in_channels < 2 * out_channels,
 `_tap_columns` stacks the kH*kW runs of a block of whole output rows into
 one (C*kH*kW, rows*Wp) matrix (im2col,
@@ -65,15 +76,17 @@ channel range, and each takes its own channel slice of the input
 gradient, so the concatenation never exists as an array or a graph node.
 
 Both convolutions take `leaky=True` to apply `leaky_relu` to their biased
-result in place.  The values are those of `leaky_relu(conv(...))`, bit for
+result in place, a block of channel planes at a time through one reused
+temporary.  The values are those of `leaky_relu(conv(...))`, bit for
 bit, but the graph keeps one node instead of two and, instead of the float
 pre-activation (Rota Bulo et al., arXiv 1712.02616), its sign mask y >= 0
-packed at one bit per element (Gist's binarized mask, Jain et al., ISCA
-2018).  The mask cannot be recomputed from the output: a negative
-subnormal y leaves -0.0, as y = -0.0 does, yet the derivatives are 0.1 and
-1.  The backward multiplies the gradient by a two-entry table, [0.1, 1]
-indexed by the bit, a block of channel planes at a time; that equals the
-select of g and 0.1*g bit for bit, because g*1 = g.
+packed at one bit per element of each padded-width row (Gist's binarized
+mask, Jain et al., ISCA 2018).  The mask cannot be recomputed from the
+output: a negative subnormal y leaves -0.0, as y = -0.0 does, yet the
+derivatives are 0.1 and 1.  The backward multiplies the gradient by a
+two-entry table, [0.1, 1] indexed by the bit, a block of channel planes at
+a time; that equals the select of g and 0.1*g bit for bit, because
+g*1 = g.
 
 Every convolution adjoint reads one layout of the output gradient,
 `_dy_layout`.  Take the stride-1 core behind a conv: its input grid is Wp
@@ -88,7 +101,8 @@ buffer's view from flat offset (kH' - 1)*Wp + kW' - 1 is exactly the
 weight gradient's padded-width grid.  So conv2d's backward writes its
 masked gradient into one such buffer, with no pad, crop or zero fill, and
 the bias gradient sums the same view.  transposed_conv2d runs its forward
-as that input gradient on x placed in the buffer; its backward lowers its
+as that input gradient on x placed in the buffer, its epilogue in place on
+the unfolded result; its backward lowers its
 gradient once, the one operand of both its adjoints (the conv forward, and
 the weight gradient with x placed again as the grid).
 """
@@ -130,6 +144,9 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward: Callable | None = None
+        # set by a same conv2d on its output: the zero-ringed buffer whose
+        # interior `data` is; a same conv reads it while `data` still is
+        self._padded: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -346,42 +363,51 @@ def _tap_columns(xp: np.ndarray, kh: int, kw: int, wp: int, oh: int):
     col[n, (c*kh + i)*kw + j, m - lo] = xp[n, c, m + i*wp + j], so the
     (oc, ic*kh*kw) reshape of a weight times col gives those pixels'
     outputs in one GEMM.  Blocks are whole rows of the padded-width grid,
-    sized from one image's bytes so that they do not depend on N.
+    sized from one image's bytes so that they do not depend on N.  One
+    strided view holds every tap of every pixel; each block copies a slice
+    of it.
     """
     n, c, _ = xp.shape
     t = kh * kw
     rows = max(1, min(oh, TAP_BLOCK_BYTES // (c * t * wp * xp.itemsize)))
     buf = np.empty((n, c, kh, kw, rows * wp), xp.dtype)
     sn, sc, se = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, oh * wp), (sn, sc, wp * se, se, se), writeable=False)
     for r in range(0, oh, rows):
         lo, hi = r * wp, min(r + rows, oh) * wp
-        taps = np.lib.stride_tricks.as_strided(
-            xp[:, :, lo:], (n, c, kh, kw, hi - lo), (sn, sc, wp * se, se, se),
-            writeable=False)
         col = buf[..., : hi - lo]
-        col[...] = taps
+        col[...] = taps[..., lo:hi]
         yield lo, hi, col.reshape(n, c * t, hi - lo)
 
 
-def _conv_flat(xp: np.ndarray, w: np.ndarray, oh: int, wp: int) -> np.ndarray:
+def _conv_flat(xp: np.ndarray, w: np.ndarray, oh: int, wp: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """The stride-1 core on a flat-row buffer: (N, O, oh, wp) over the
-    padded width, its last kW - 1 columns straddling a row boundary."""
+    padded width, its last kW - 1 columns straddling a row boundary.
+
+    `out`, when given, is the (N, O, oh*wp) array the result is written to;
+    its channel planes need only be contiguous each.
+    """
     n, ic = xp.shape[:2]
     oc, _, kh, kw = w.shape
     m = oh * wp
-    acc = np.empty((n, oc, m), xp.dtype)
+    acc = np.empty((n, oc, m), xp.dtype) if out is None else out
     if ic < 2 * oc:
         w2 = w.reshape(oc, ic * kh * kw)
         for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
             _tap_product(w2, col, acc[:, :, lo:hi])
     else:
-        _tap_product(w[:, :, 0, 0], xp[:, :, :m], acc)
-        prod = np.empty_like(acc)
-        for i in range(kh):
-            for j in range(kw):
-                if i or j:
-                    off = i * wp + j
-                    acc += _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod)
+        taps = [(i, j) for i in range(kh) for j in range(kw)]
+        # the partial sums stay contiguous and only the last one goes to a
+        # strided out: an add over strided planes costs up to 3x more
+        part = acc if acc.flags.c_contiguous else np.empty(acc.shape, acc.dtype)
+        _tap_product(w[:, :, 0, 0], xp[:, :, :m], acc if len(taps) == 1 else part)
+        prod = np.empty(acc.shape, acc.dtype)
+        for i, j in taps[1:]:
+            off = i * wp + j
+            np.add(part, _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod),
+                   out=acc if (i, j) == taps[-1] else part)
     return acc.reshape(n, oc, oh, wp)
 
 
@@ -400,14 +426,18 @@ def _flipped(w: np.ndarray) -> np.ndarray:
 def _conv_input_grad(buf: np.ndarray, w: np.ndarray, stride: int, padding: int,
                      in_hw: tuple[int, int]) -> np.ndarray:
     """Adjoint of `_conv_core` in its input, from the output gradient's
-    `_dy_layout` buffer: the core with the flipped, transposed kernel."""
+    `_dy_layout` buffer: the core with the flipped, transposed kernel.
+
+    At s = 1 the result is the padded-width grid, (N, C, H, wp); crop it to
+    W columns.  At s > 1 it is the unfolded (N, C, H, W) map.
+    """
     hp, wp = _grid(in_hw, w.shape[2:], stride, padding)[:2]
     wf = _flipped(_lower_kernel(w, stride))
     if stride > 1:
         df = _conv_flat(buf, wf, hp, wp)
         del buf  # transposed_conv2d's forward holds no other reference
         return _unfold(df, stride, padding, in_hw)
-    return _conv_flat(buf[:, :, padding * (wp + 1) :], wf, in_hw[0], wp)[..., : in_hw[1]]
+    return _conv_flat(buf[:, :, padding * (wp + 1) :], wf, in_hw[0], wp)
 
 
 def _conv_weight_grad(xp: np.ndarray, grid: np.ndarray, wp: int,
@@ -446,14 +476,28 @@ def _check_bias(b: Tensor | None, channels: int, op: str):
 LEAKY_SLOPE = 0.1
 
 
-def _leaky(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # max(y, slope*y) selects y exactly when y >= 0, because 0 <= slope <= 1
-    return np.maximum(y, y * y.dtype.type(LEAKY_SLOPE), out=out)
+def _leaky_planes(flat: np.ndarray, rw: int, keep_bits: bool):
+    """leaky in place on flat (N, C, M) channel planes, each one contiguous
+    run of rows rw wide.  Returns the mask y >= 0 packed along each row
+    (see `_leaky_grad`) when keep_bits, else None.
 
-
-def _leaky_bits(y: np.ndarray) -> np.ndarray:
-    """The leaky mask y >= 0 at one bit per element, packed along each row."""
-    return np.packbits(y >= 0, axis=-1)
+    A block of channel planes (at most `TAP_BLOCK_BYTES`, or one plane) at
+    a time, through one reused temporary, so no full-size one is built.
+    """
+    n, c, m = flat.shape
+    step = max(1, TAP_BLOCK_BYTES // (m * flat.itemsize))
+    slope = flat.dtype.type(LEAKY_SLOPE)
+    tmp = np.empty((min(step, c), m), flat.dtype)
+    bits = np.empty((n, c, m // rw, -(-rw // 8)), np.uint8) if keep_bits else None
+    for i in range(n):
+        for lo in range(0, c, step):
+            blk = flat[i, lo : lo + step]
+            if bits is not None:
+                bits[i, lo : lo + step] = np.packbits(
+                    (blk >= 0).reshape(len(blk), -1, rw), axis=-1)
+            # max(y, slope*y) selects y exactly when y >= 0, because 0 <= slope <= 1
+            np.maximum(blk, np.multiply(blk, slope, out=tmp[: len(blk)]), out=blk)
+    return bits
 
 
 def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -474,27 +518,34 @@ def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_epilogue(y: np.ndarray, xs: tuple[Tensor, ...], w: Tensor,
+def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
                    b: Tensor | None, leaky: bool, operand, input_grad,
                    weight_grad) -> Tensor:
-    """Add the bias, optionally apply leaky in place, and record the op.
+    """Add the bias and optionally apply leaky, in place, and record the op.
+
+    `y` is the core's (N, O, oH, rw) result, rows rw >= ow wide, which the
+    op owns; each channel plane is one contiguous run.  The bias add and
+    the activation pass over those flat planes, the leaky mask is packed
+    along the rw-wide rows, and the rw - ow wrap columns are zeroed last.
+    The output's data is the (N, O, oH, ow) view.
 
     The backward hands the output gradient and the leaky mask (None
     without one) to `operand`, which returns the input and weight
     gradients' operands, built once, and the masked gradient.  The
     incoming gradient is dropped then.  `input_grad` and `weight_grad` are
     the core's adjoints on those operands; each of the inputs `xs` takes
-    its own channel range of the input gradient.  The bias add also packs
-    the core's possibly cropped result, so the in-place activation never
-    writes into an operand.
+    its own channel range of the input gradient.
     """
     parents = (*xs, w) if b is None else (*xs, w, b)
-    y = np.ascontiguousarray(y) if b is None else y + b.data
+    n, oc, oh, rw = y.shape
+    flat = y.reshape(n, oc, oh * rw)  # a view: each plane is contiguous
+    if b is not None:
+        flat += b.data.reshape(1, oc, 1)
     bits = None
     if leaky:
-        if any(p.requires_grad for p in parents):
-            bits = _leaky_bits(y)
-        _leaky(y, out=y)
+        bits = _leaky_planes(flat, rw, any(p.requires_grad for p in parents))
+    if rw > ow:
+        y[..., ow:] = 0
 
     def bwd(g):
         dx_op, dw_op, gm = operand(g, bits)
@@ -512,7 +563,7 @@ def _conv_epilogue(y: np.ndarray, xs: tuple[Tensor, ...], w: Tensor,
         if w.requires_grad:
             accumulate_grad(w, weight_grad(dw_op))
 
-    return graph_out(y, parents, bwd)
+    return graph_out(y[..., :ow], parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +598,8 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
     the inputs' channel total.  Output spatial extents are
     (H + 2p - kH)/s + 1 by (W + 2p - kW)/s + 1 and must be positive.
     `leaky=True` returns exactly `leaky_relu(conv2d(x, w, b, stride,
-    padding))` as one node.
+    padding))` as one node.  A same conv (stride 1, padding 1, 3x3) returns
+    its output born padded (see the module docstring).
     """
     xs = _stackable((x,) if isinstance(x, Tensor) else x, "conv2d")
     n, _, h, wd = xs[0].shape
@@ -570,8 +622,15 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
         )
     _check_bias(b, oc, "conv2d")
 
-    arrays = [t.data for t in xs]
     wp = _grid((h, wd), (kh, kw), stride, padding)[1]
+    same = stride == 1 and padding == 1 and (kh, kw) == (3, 3)
+
+    def lowered():
+        # a same conv reads a born-padded input's buffer as it stands
+        buf = xs[0]._padded if same and len(xs) == 1 else None
+        if buf is not None and xs[0].data.base is buf:
+            return buf
+        return _lower([t.data for t in xs], stride, padding, (kh, kw))
 
     def operand(g, bits):
         buf, grid, dy = _dy_layout(g.shape, g.dtype, (h, wd), (kh, kw), stride, padding)
@@ -581,16 +640,27 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
             _leaky_grad(g, bits, dy)
         return buf, grid, dy
 
-    # the core's result is passed straight in, with no other reference
-    # held, so the bias add frees it before the activation's temporary
-    return _conv_epilogue(
-        _conv_core(_lower(arrays, stride, padding, (kh, kw)), w.data, stride, wp,
-                   (oh, ow)),
-        xs, w, b, leaky, operand,
-        lambda buf: _conv_input_grad(buf, w.data, stride, padding, (h, wd)),
-        lambda grid: _conv_weight_grad(_lower(arrays, stride, padding, (kh, kw)),
-                                       grid, wp, (kh, kw), stride),
+    xp = lowered()
+    if same:
+        # born padded: the operand a same conv lowers this output to, with
+        # the core's padded-width rows written at row 1, column 1.  Only
+        # the ring around them is zeroed here; the epilogue zeroes the wrap
+        # columns, which land on the padding in between
+        padded = np.empty((n, oc, (oh + 2) * wp + 2), xp.dtype)
+        padded[:, :, : wp + 1] = 0
+        padded[:, :, (oh + 1) * wp + 1 :] = 0
+        core = padded[:, :, wp + 1 : (oh + 1) * wp + 1]
+    else:
+        padded = core = None
+    core = _conv_flat(xp, _lower_kernel(w.data, stride), oh, wp, core)
+    del xp
+    out = _conv_epilogue(
+        core, ow, xs, w, b, leaky, operand,
+        lambda buf: _conv_input_grad(buf, w.data, stride, padding, (h, wd))[..., :wd],
+        lambda grid: _conv_weight_grad(lowered(), grid, wp, (kh, kw), stride),
     )
+    out._padded = padded
+    return out
 
 
 def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -636,9 +706,9 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         gl = _lower((gm,), stride, padding, (kh, kw))  # one fold for both adjoints
         return gl, gl, gm
 
+    y = _conv_input_grad(placed()[0], w.data, stride, padding, (oh, ow))
     return _conv_epilogue(
-        _conv_input_grad(placed()[0], w.data, stride, padding, (oh, ow)),
-        (x,), w, b, leaky, operand,
+        y, ow, (x,), w, b, leaky, operand,
         lambda gl: _conv_core(gl, w.data, stride, wp, (h, wd)),
         lambda gl: _conv_weight_grad(gl, placed()[1], wp, (kh, kw), stride),
     )
@@ -684,11 +754,14 @@ def maxpool2d(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor) -> Tensor:
     """x for x >= 0 else LEAKY_SLOPE*x; the derivative at 0 is defined as 1."""
+    y = np.array(x.data, order="C")
+    n, c, h, w = y.shape
+    bits = _leaky_planes(y.reshape(n, c, h * w), w, x.requires_grad)
 
     def bwd(g):
-        accumulate_grad(x, _leaky_grad(g, _leaky_bits(x.data), np.empty_like(g)))
+        accumulate_grad(x, _leaky_grad(g, bits, np.empty_like(g)))
 
-    return graph_out(_leaky(x.data), (x,), bwd)
+    return graph_out(y, (x,), bwd)
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:

@@ -122,6 +122,8 @@ class Adam:
 CHECKPOINT_MAGIC = b"SCNC"
 CHECKPOINT_VERSION = 1
 SCALAR_EXTENTS = (1, 1, 1, 1)
+# numpy refuses a shape whose byte size exceeds its index type's maximum
+_INDEX_MAX = np.iinfo(np.intp).max
 
 
 @dataclass
@@ -190,9 +192,9 @@ def read_checkpoint_blob(data: bytes):
             raise CodecError("record name is not UTF-8", pos - name_len) from None
         head, pos = _take(data, pos, 16, f"extents of {name!r}")
         shape = struct.unpack("<4I", head)
-        # numpy refuses a shape whose nonzero extents' byte size overflows
-        # its index type, even when another extent is zero
-        if math.prod(e for e in shape if e) * 4 > np.iinfo(np.intp).max:
+        # checked on the nonzero extents: numpy refuses the shape even when
+        # another extent is zero
+        if math.prod(e for e in shape if e) * 4 > _INDEX_MAX:
             raise CodecError(f"extents {shape} of {name!r} are too large",
                              pos - 16)
         count = math.prod(shape)  # Python ints: no int64 wrap-around

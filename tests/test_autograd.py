@@ -25,7 +25,8 @@ from shiftconvnet.autograd import (
     sum_all,
     transposed_conv2d,
 )
-from shiftconvnet.autograd import TAP_BLOCK_BYTES
+from shiftconvnet import autograd
+from shiftconvnet.autograd import TAP_BLOCK_BYTES, _lower
 
 GRAD_TOL = 1e-4
 
@@ -801,9 +802,10 @@ def _same_conv():
 def test_leaky_conv_node_keeps_its_mask_as_bits():
     x, w, b = _same_conv()
     y, kept, _ = _traced(lambda: conv2d(x, w, b, padding=1, leaky=True))
-    # one bit per activation (1/32 of float32 bytes), plus the node's
+    # beside the output's born-padded buffer (its map plus the padding
+    # ring), one bit per activation (1/32 of float32 bytes), plus the node's
     # records and numpy's first-call caches; a bool mask would be 1/4
-    assert kept - y.data.nbytes <= y.data.nbytes // 32 + 16384
+    assert kept - y._padded.nbytes <= y.data.nbytes // 32 + 16384
 
 
 def test_untracked_leaky_conv_frees_the_core_result_before_the_activation():
@@ -813,9 +815,8 @@ def test_untracked_leaky_conv_frees_the_core_result_before_the_activation():
     conv2d(x, w, b, padding=1, leaky=True)  # numpy's first-call caches
     y, _, peak = _traced(lambda: conv2d(x, w, b, padding=1, leaky=True))
     core = y.data.nbytes * 258 // 256  # the result over the padded width
-    # the padded input and one column block, then the core's result and
-    # the biased output; the activation's temporary comes after the first
-    # of those is freed
+    # the padded input and one column block, then the output's padded
+    # buffer and the activation's one temporary block
     assert peak <= 2 * core + x.data.nbytes * 2 + TAP_BLOCK_BYTES
 
 
@@ -853,6 +854,87 @@ def test_same_conv_backward_holds_one_padded_gradient_buffer():
     y = transposed_conv2d(xt, wt, _same_conv()[2], leaky=True)
     assert y.shape == x.shape
     assert backward_peak(y) <= y.data.nbytes + padded + TAP_BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# same convs: outputs born in the next same conv's padded layout
+# ---------------------------------------------------------------------------
+
+def test_same_conv_output_is_born_in_its_consumers_operand():
+    # the bias makes the core's wrap columns non-zero before they are zeroed
+    for leaky, bias in ((False, False), (True, True)):
+        x = Tensor(rand((2, 3, 5, 7), seed=70, dtype=np.float32))
+        w = Tensor(rand((4, 3, 3, 3), seed=71, dtype=np.float32))
+        b = Tensor(rand((1, 4, 1, 1), seed=72, dtype=np.float32)) if bias else None
+        y = conv2d(x, w, b, padding=1, leaky=leaky)
+        assert y.data.base is y._padded
+        want = _lower((y.data,), 1, 1, (3, 3))
+        assert (y._padded.dtype, y._padded.shape) == (want.dtype, want.shape)
+        assert y._padded.tobytes() == want.tobytes()  # a ring of +0.0
+    # only a same conv's output is born padded
+    assert conv2d(x, w, stride=2, padding=1)._padded is None
+    assert conv2d(x, Tensor(w.data[:, :, :1, :1]), padding=1)._padded is None
+
+
+def _copied(t: Tensor) -> Tensor:
+    """t's values in a fresh contiguous tensor, behind an identity node."""
+    return graph_out(np.array(t.data, order="C"), (t,),
+                     lambda g: accumulate_grad(t, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_same_chain_is_bit_identical_to_one_of_fresh_copies(dtype, bias, leaky):
+    # 3 -> 4 -> 5 merge the taps, 5 -> 2 runs per-tap GEMMs
+    runs = []
+    for between in (lambda t: t, _copied):
+        x = Tensor(rand((2, 3, 6, 7), seed=73, dtype=dtype), requires_grad=True)
+        leaves, h = [x], x
+        for i, (oc, ic) in enumerate(((4, 3), (5, 4), (2, 5))):
+            w = Tensor(rand((oc, ic, 3, 3), seed=74 + i, dtype=dtype),
+                       requires_grad=True)
+            b = (Tensor(rand((1, oc, 1, 1), seed=77 + i, dtype=dtype),
+                        requires_grad=True) if bias else None)
+            leaves += [w] if b is None else [w, b]
+            h = conv2d(between(h), w, b, padding=1, leaky=leaky)
+        backward(sum_all(mul(h, Tensor(rand(h.shape, seed=80, dtype=dtype)))))
+        runs.append([h.data] + [t.grad for t in leaves])
+    _assert_bit_identical(runs)
+
+
+def test_a_chain_conv_lowers_nothing(monkeypatch):
+    x = Tensor(rand((2, 3, 6, 7), seed=81), requires_grad=True)
+    w1 = Tensor(rand((4, 3, 3, 3), seed=82), requires_grad=True)
+    w2 = Tensor(rand((2, 4, 3, 3), seed=83), requires_grad=True)
+    h = conv2d(x, w1, padding=1, leaky=True)
+    calls = []
+    lower = autograd._lower
+    monkeypatch.setattr(autograd, "_lower",
+                        lambda *args: calls.append(args) or lower(*args))
+    y = conv2d(h, w2, padding=1, leaky=True)
+    y._backward(rand(y.shape, seed=84))
+    assert h.grad is not None and w2.grad is not None
+    assert calls == []
+
+
+def test_same_chain_grad_check():
+    w1 = Tensor(rand((3, 2, 3, 3), seed=85))
+    b1 = Tensor(rand((1, 3, 1, 1), seed=86))
+    w2 = Tensor(rand((2, 3, 3, 3), seed=87))
+    b2 = Tensor(rand((1, 2, 1, 1), seed=88))
+    x0 = Tensor(rand((1, 2, 4, 5), seed=89))
+    h0 = conv2d(x0, w1, b1, padding=1, leaky=True)
+    for pre in (conv2d(x0, w1, b1, padding=1), conv2d(h0, w2, b2, padding=1)):
+        assert np.abs(pre.data).min() > 1e-2  # probes never cross a kink
+
+    def chain(x, w):
+        return sum_all(conv2d(conv2d(x, w1, b1, padding=1, leaky=True), w,
+                              b2, padding=1, leaky=True))
+
+    assert grad_check(lambda t: chain(t, w2), x0) < GRAD_TOL
+    # the second conv's weight gradient reads the first one's buffer
+    assert grad_check(lambda t: chain(x0, t), w2) < GRAD_TOL
 
 
 def test_a_closure_holds_the_only_reference_to_its_gradient():
