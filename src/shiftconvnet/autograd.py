@@ -83,10 +83,11 @@ pre-activation (Rota Bulo et al., arXiv 1712.02616), its sign mask y >= 0
 packed at one bit per element of each padded-width row (Gist's binarized
 mask, Jain et al., ISCA 2018).  The mask cannot be recomputed from the
 output: a negative subnormal y leaves -0.0, as y = -0.0 does, yet the
-derivatives are 0.1 and 1.  The backward multiplies the gradient by a
-two-entry table, [0.1, 1] indexed by the bit, a block of channel planes at
-a time; that equals the select of g and 0.1*g bit for bit, because
-g*1 = g.
+derivatives are 0.1 and 1.  The backward multiplies the gradient, in
+place, by 1 or 0.1 as the bit says, a block of channel planes at a time;
+that equals the select of g and 0.1*g bit for bit, because g*1 = g.  The
+factor's bit pattern is bit*(bits(1) - bits(0.1)) + bits(0.1), so no
+table is gathered.
 
 Every convolution adjoint reads one layout of the output gradient,
 `_dy_layout`.  Take the stride-1 core behind a conv: its input grid is Wp
@@ -105,6 +106,19 @@ as that input gradient on x placed in the buffer, its epilogue in place on
 the unfolded result; its backward lowers its
 gradient once, the one operand of both its adjoints (the conv forward, and
 the weight gradient with x placed again as the grid).
+
+A conv2d output's gradient is born in that layout.  The output records
+its layout (`Tensor._layout`); `accumulate_grad` copies the first
+contribution into the dy view of a fresh buffer, zero everywhere else, and
+adds later ones to that view, so the conv's backward masks the gradient
+in place and builds no operand of its own.  A gradient handed to it any
+other way is copied into a fresh layout.  A stride-1 conv whose single
+input is a conv2d output with rows as wide as its own core's grid (every
+same -> same link of the network), and which has no gradient yet, runs its
+input gradient straight into that input's layout grid and zeroes the wrap
+columns, so neither the padded-width result nor a cropped copy of it is
+built.  Once such an output holds at least `STRIDED_SUM_BYTES` per image,
+the per-tap core adds its partial products straight into it.
 """
 
 from __future__ import annotations
@@ -147,6 +161,9 @@ class Tensor:
         # set by a same conv2d on its output: the zero-ringed buffer whose
         # interior `data` is; a same conv reads it while `data` still is
         self._padded: np.ndarray | None = None
+        # set by conv2d on its output: (in_hw, kshape, stride, padding), the
+        # `_dy_layout` its backward reads and its gradient is placed in
+        self._layout: tuple | None = None
 
     @property
     def shape(self):
@@ -186,13 +203,25 @@ def graph_out(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray):
+    """Add g to t's gradient.  g has t's shape, or a split of its axes
+    (as maxpool's windows), read in the same element order.
+
+    The first contribution is copied rather than added to zeros (one pass,
+    and a lone -0.0 stays -0.0), into the dy view of t's `_dy_layout` when
+    t is a conv2d output, else into a fresh C-ordered array.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # a copy rather than 0 + g: one pass, and a lone -0.0 stays -0.0
-        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    first = t.grad is None
+    if first:
+        t.grad = (np.empty(t.shape, t.dtype) if t._layout is None
+                  else _dy_layout(t.shape, t.dtype, *t._layout)[2])
+    # splitting axes reshapes any strided array as a view
+    acc = t.grad if g.shape == t.shape else t.grad.reshape(g.shape)
+    if first:
+        acc[...] = g
     else:
-        t.grad += g
+        acc += g
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -325,23 +354,36 @@ def _unfold(f: np.ndarray, s: int, p: int, hw: tuple[int, int]) -> np.ndarray:
 
 
 def _dy_layout(shape: tuple, dtype, in_hw: tuple[int, int],
-               kshape: tuple[int, int], stride: int, padding: int):
+               kshape: tuple[int, int], stride: int, padding: int,
+               holding: np.ndarray | None = None):
     """The output-gradient layout: (buf, grid, dy).
 
     buf is a zeroed flat-row buffer on the core's wp-wide grid; dy, the
     (N, O, oH, oW) view that receives the gradient, sits at row kh - 1,
     column kw - 1 of it, with kh x kw the core's kernel.  grid is buf's
     (N, O, oH*wp) view from that offset, the weight gradient's operand.
+    When `holding` already is such a dy view, buf is its base
+    (`holding.base is buf` tells) and nothing is allocated.
     """
     n, oc, oh, ow = shape
     hp, wp, kh, kw = _grid(in_hw, kshape, stride, padding)
     # dy ends by hp*wp + kw - 1; the input gradient's taps read rows + kh - 1
     # rows from start, which ends later unless p > k - 1
     start, rows = (0, hp) if stride > 1 else (padding * (wp + 1), in_hw[0])
-    buf = np.zeros((n, oc, max(hp * wp, start + (rows + kh - 1) * wp) + kw - 1), dtype)
+    size = (n, oc, max(hp * wp, start + (rows + kh - 1) * wp) + kw - 1)
     off = (kh - 1) * wp + kw - 1
-    grid = buf[:, :, off : off + oh * wp]
-    return buf, grid, grid.reshape(n, oc, oh, wp)[..., :ow]
+
+    def views(buf):
+        grid = buf[:, :, off : off + oh * wp]
+        return buf, grid, grid.reshape(n, oc, oh, wp)[..., :ow]
+
+    buf = None if holding is None else holding.base
+    if buf is not None and buf.shape == size and buf.dtype == holding.dtype:
+        placed = views(buf)
+        dy = placed[2]
+        if dy.strides == holding.strides and dy.ctypes.data == holding.ctypes.data:
+            return placed
+    return views(np.zeros(size, dtype))
 
 
 def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -355,6 +397,11 @@ def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 # of peak RSS (1 MiB blocks raised a 64x128 training step's peak by about
 # 1 MB), large enough that each GEMM amortises its call
 TAP_BLOCK_BYTES = 1 << 18
+
+# bytes of one image's output from which the per-tap path adds its partial
+# products straight into a strided `out`; below, an add over strided planes
+# costs up to 3x more than over a contiguous temporary
+STRIDED_SUM_BYTES = 1 << 17
 
 
 def _tap_columns(xp: np.ndarray, kh: int, kw: int, wp: int, oh: int):
@@ -399,9 +446,10 @@ def _conv_flat(xp: np.ndarray, w: np.ndarray, oh: int, wp: int,
             _tap_product(w2, col, acc[:, :, lo:hi])
     else:
         taps = [(i, j) for i in range(kh) for j in range(kw)]
-        # the partial sums stay contiguous and only the last one goes to a
-        # strided out: an add over strided planes costs up to 3x more
-        part = acc if acc.flags.c_contiguous else np.empty(acc.shape, acc.dtype)
+        # below STRIDED_SUM_BYTES the partial sums stay contiguous and only
+        # the last one goes to a strided out
+        direct = acc.flags.c_contiguous or oc * m * acc.itemsize >= STRIDED_SUM_BYTES
+        part = acc if direct else np.empty(acc.shape, acc.dtype)
         _tap_product(w[:, :, 0, 0], xp[:, :, :m], acc if len(taps) == 1 else part)
         prod = np.empty(acc.shape, acc.dtype)
         for i, j in taps[1:]:
@@ -424,12 +472,13 @@ def _flipped(w: np.ndarray) -> np.ndarray:
 
 
 def _conv_input_grad(buf: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                     in_hw: tuple[int, int]) -> np.ndarray:
+                     in_hw: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of `_conv_core` in its input, from the output gradient's
     `_dy_layout` buffer: the core with the flipped, transposed kernel.
 
-    At s = 1 the result is the padded-width grid, (N, C, H, wp); crop it to
-    W columns.  At s > 1 it is the unfolded (N, C, H, W) map.
+    At s = 1 the result is the padded-width grid, (N, C, H, wp), written to
+    `out` when given (as `_conv_flat`); crop it to W columns.  At s > 1 it
+    is the unfolded (N, C, H, W) map.
     """
     hp, wp = _grid(in_hw, w.shape[2:], stride, padding)[:2]
     wf = _flipped(_lower_kernel(w, stride))
@@ -437,7 +486,7 @@ def _conv_input_grad(buf: np.ndarray, w: np.ndarray, stride: int, padding: int,
         df = _conv_flat(buf, wf, hp, wp)
         del buf  # transposed_conv2d's forward holds no other reference
         return _unfold(df, stride, padding, in_hw)
-    return _conv_flat(buf[:, :, padding * (wp + 1) :], wf, in_hw[0], wp)
+    return _conv_flat(buf[:, :, padding * (wp + 1) :], wf, in_hw[0], wp, out)
 
 
 def _conv_weight_grad(xp: np.ndarray, grid: np.ndarray, wp: int,
@@ -503,18 +552,27 @@ def _leaky_planes(flat: np.ndarray, rw: int, keep_bits: bool):
 def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = g * [slope, 1][bit]: g where the pre-activation was >= 0 (the
     derivative at 0 is 1), else slope*g, bit for bit, because g*1 = g.
+    `out` may be g itself.
 
-    A block of channel planes (at most `TAP_BLOCK_BYTES`, or one plane) at a
-    time, so no full-size temporary is built.
+    The factor is built as a bit pattern, bit * (bits(1) - bits(slope)) +
+    bits(slope) in the unsigned type of g's width (wrapping, so exact for
+    any slope), then read as floats: no table gather.  A block of channel
+    planes (at most `TAP_BLOCK_BYTES`, or one plane) at a time, so no
+    full-size temporary is built.
     """
     n, c, h, w = g.shape
-    lut = np.array([LEAKY_SLOPE, 1], g.dtype)
+    one, slope = np.array([1, LEAKY_SLOPE], g.dtype).view(f"u{g.itemsize}")
+    rise = np.subtract(one, slope, dtype=one.dtype)  # wraps where slope > 1
     step = max(1, TAP_BLOCK_BYTES // (h * w * g.itemsize))
+    factor = np.empty((min(step, c), h, w), one.dtype)
     for i in range(n):
         for lo in range(0, c, step):
             blk = (i, slice(lo, lo + step))
             sel = np.unpackbits(bits[blk], axis=-1, count=w)
-            np.multiply(g[blk], lut.take(sel), out=out[blk])
+            f = factor[: len(sel)]
+            np.multiply(sel, rise, out=f)
+            f += slope
+            np.multiply(g[blk], f.view(g.dtype), out=out[blk])
     return out
 
 
@@ -534,7 +592,8 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
     gradients' operands, built once, and the masked gradient.  The
     incoming gradient is dropped then.  `input_grad` and `weight_grad` are
     the core's adjoints on those operands; each of the inputs `xs` takes
-    its own channel range of the input gradient.
+    its own channel range of the input gradient, unless `input_grad`
+    returns None, having stored it in the one input already.
     """
     parents = (*xs, w) if b is None else (*xs, w, b)
     n, oc, oh, rw = y.shape
@@ -556,7 +615,7 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
         if any(x.requires_grad for x in xs):
             dx = input_grad(dx_op)
             lo = 0
-            for x in xs:
+            for x in xs if dx is not None else ():  # None: already stored
                 accumulate_grad(x, dx[:, lo : lo + x.shape[1]])
                 lo += x.shape[1]
             del dx  # freed before the weight gradient lowers the input
@@ -633,12 +692,26 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
         return _lower([t.data for t in xs], stride, padding, (kh, kw))
 
     def operand(g, bits):
-        buf, grid, dy = _dy_layout(g.shape, g.dtype, (h, wd), (kh, kw), stride, padding)
-        if bits is None:
-            dy[...] = g
-        else:
+        # g is masked in place when accumulate_grad placed it in the layout
+        buf, grid, dy = _dy_layout(g.shape, g.dtype, (h, wd), (kh, kw), stride,
+                                   padding, holding=g)
+        if bits is not None:
             _leaky_grad(g, bits, dy)
+        elif g.base is not buf:
+            dy[...] = g
         return buf, grid, dy
+
+    def input_grad(buf):
+        x = xs[0]
+        if (stride > 1 or len(xs) > 1 or x.grad is not None or x._layout is None
+                or _grid(*x._layout)[1] != wp or x.dtype != buf.dtype):
+            return _conv_input_grad(buf, w.data, stride, padding, (h, wd))[..., :wd]
+        # x's rows are as wide as this core's: its gradient is born in its
+        # own layout, the wrap columns zeroed as in the forward epilogue
+        _, grid, x.grad = _dy_layout(x.shape, x.dtype, *x._layout)
+        _conv_input_grad(buf, w.data, stride, padding, (h, wd), grid)
+        grid.reshape(n, c, h, wp)[..., wd:] = 0
+        return None
 
     xp = lowered()
     if same:
@@ -655,11 +728,11 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
     core = _conv_flat(xp, _lower_kernel(w.data, stride), oh, wp, core)
     del xp
     out = _conv_epilogue(
-        core, ow, xs, w, b, leaky, operand,
-        lambda buf: _conv_input_grad(buf, w.data, stride, padding, (h, wd))[..., :wd],
+        core, ow, xs, w, b, leaky, operand, input_grad,
         lambda grid: _conv_weight_grad(lowered(), grid, wp, (kh, kw), stride),
     )
     out._padded = padded
+    out._layout = ((h, wd), (kh, kw), stride, padding)
     return out
 
 
@@ -702,7 +775,7 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         return buf, grid
 
     def operand(g, bits):
-        gm = g if bits is None else _leaky_grad(g, bits, np.empty_like(g))
+        gm = g if bits is None else _leaky_grad(g, bits, g)
         gl = _lower((gm,), stride, padding, (kh, kw))  # one fold for both adjoints
         return gl, gl, gm
 
@@ -746,8 +819,8 @@ def maxpool2d(x: Tensor) -> Tensor:
     def bwd(g):
         dwin = np.zeros((n, c, oh, ow, 4), dtype=g.dtype)
         np.put_along_axis(dwin, am[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        accumulate_grad(x, np.ascontiguousarray(dx.reshape(n, c, h, w)))
+        # (n, c, oh, 2, ow, 2): x's axes split, which accumulate_grad reads
+        accumulate_grad(x, dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5))
 
     return graph_out(out, (x,), bwd)
 
@@ -759,7 +832,7 @@ def leaky_relu(x: Tensor) -> Tensor:
     bits = _leaky_planes(y.reshape(n, c, h * w), w, x.requires_grad)
 
     def bwd(g):
-        accumulate_grad(x, _leaky_grad(g, bits, np.empty_like(g)))
+        accumulate_grad(x, _leaky_grad(g, bits, g))
 
     return graph_out(y, (x,), bwd)
 
@@ -819,14 +892,20 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
         )
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+def add(a: Tensor, b: Tensor, *more: Tensor) -> Tensor:
+    """The sum of same-shape tensors, added left to right, as one node."""
+    terms = (a, b, *more)
+    for t in terms[1:]:
+        _check_same_shape(a, t, "add")
+    out = a.data + b.data
+    for t in more:
+        out += t.data
 
     def bwd(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, g)
+        for t in terms:
+            accumulate_grad(t, g)
 
-    return graph_out(a.data + b.data, (a, b), bwd)
+    return graph_out(out, terms, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -272,9 +272,7 @@ def auto_shift_conv(left_img: Tensor, right_img: Tensor, base_disp: np.ndarray,
             f"auto_shift_conv weights must take {2 * c} input channels; "
             f"got {w.shape[1]}"
         )
-    total = None
-    for delta in range(-delta_range, delta_range + 1):
-        warped = warp_horizontal(right_img, disp + delta)
-        branch = conv2d((left_img, warped), w, b, padding=1, leaky=True)
-        total = branch if total is None else add(total, branch)
-    return total
+    terms = [conv2d((left_img, warp_horizontal(right_img, disp + delta)), w, b,
+                    padding=1, leaky=True)
+             for delta in range(-delta_range, delta_range + 1)]
+    return add(*terms) if len(terms) > 1 else terms[0]

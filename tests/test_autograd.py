@@ -26,7 +26,13 @@ from shiftconvnet.autograd import (
     transposed_conv2d,
 )
 from shiftconvnet import autograd
-from shiftconvnet.autograd import TAP_BLOCK_BYTES, _lower
+from shiftconvnet.autograd import (
+    LEAKY_SLOPE,
+    TAP_BLOCK_BYTES,
+    _dy_layout,
+    _leaky_grad,
+    _lower,
+)
 
 GRAD_TOL = 1e-4
 
@@ -537,6 +543,21 @@ def test_fused_leaky_epilogue_passes_special_values_through(dtype, tracked):
         assert x.grad.reshape(()) == dtype(0.1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_grad_matches_the_select_on_special_values(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = [0.0, -0.0, tiny, -tiny, 3 * tiny, np.inf, -np.inf, np.nan, -np.nan,
+               np.finfo(dtype).max, 1.0, -2.5]
+    rng = np.random.default_rng(106)
+    g = rng.choice(np.array(special, dtype), size=(2, 3, 5, 11))
+    mask = rng.random(g.shape) < 0.5
+    want = np.where(mask, g, dtype(LEAKY_SLOPE) * g)
+    bits = np.packbits(mask, axis=-1)
+    got = _leaky_grad(g, bits, np.empty_like(g))
+    assert got.tobytes() == want.tobytes()
+    assert _leaky_grad(g, bits, g) is g and g.tobytes() == want.tobytes()
+
+
 def _off_kink(op, x0, w, b, **kw):
     pre = op(x0, w, b, **kw).data
     assert np.abs(pre).min() > 1e-2  # probes of 1e-5 never cross the kink
@@ -720,6 +741,34 @@ def test_elementwise_shape_mismatch():
     for op in (add, mul):
         with pytest.raises(ContractViolation):
             op(a, b)
+    with pytest.raises(ContractViolation):
+        add(a, a, b)
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_add_of_many_is_one_node_equal_to_chained_adds(count):
+    parts = [rand((2, 3, 4, 5), seed=100 + i, dtype=np.float32) for i in range(count)]
+    parts[0][0, 0, 0, :3] = [-0.0, np.inf, 1e-45]  # a signed zero, inf, subnormal
+    runs = []
+    for fused in (True, False):
+        ts = [Tensor(p.copy(), requires_grad=True) for p in parts]
+        if fused:
+            out = add(*ts)
+            assert set(map(id, out._parents)) == set(map(id, ts))
+        else:
+            out = ts[0]
+            for t in ts[1:]:
+                out = add(out, t)
+        backward(sum_all(mul(out, Tensor(rand(out.shape, seed=99, dtype=np.float32)))))
+        runs.append([out.data] + [t.grad for t in ts])
+    assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
+
+
+def test_add_of_many_grad_check():
+    others = [Tensor(rand((1, 2, 3, 3), seed=105 + i)) for i in range(3)]
+    x0 = Tensor(rand((1, 2, 3, 3), seed=104))
+    assert grad_check(lambda t: sum_all(mul(add(t, *others, t), others[0])),
+                      x0) < GRAD_TOL
 
 
 def test_reused_tensor_accumulates_gradient():
@@ -935,6 +984,67 @@ def test_same_chain_grad_check():
     assert grad_check(lambda t: chain(t, w2), x0) < GRAD_TOL
     # the second conv's weight gradient reads the first one's buffer
     assert grad_check(lambda t: chain(x0, t), w2) < GRAD_TOL
+
+
+# the fan-out: 3 -> c (leaky), then read by a same conv, a sequence conv
+# and maxpool; the reading same conv's input gradient (5 -> c) merges the
+# taps with c = 4 and runs per-tap GEMMs with c = 2
+def _fan_out(between, dtype, c, conv_last):
+    x = Tensor(rand((2, 3, 6, 8), seed=90, dtype=dtype), requires_grad=True)
+    z = Tensor(rand((2, 2, 6, 8), seed=91, dtype=dtype), requires_grad=True)
+    w1, w2, w3 = (Tensor(rand(shape, seed=92 + i, dtype=dtype), requires_grad=True)
+                  for i, shape in enumerate(((c, 3, 3, 3), (5, c, 3, 3),
+                                             (3, c + 2, 3, 3))))
+    b1 = Tensor(rand((1, c, 1, 1), seed=95, dtype=dtype), requires_grad=True)
+    h = conv2d(x, w1, b1, padding=1, leaky=True)
+    terms = [conv2d(between(h), w2, padding=1, leaky=True),
+             conv2d((between(h), z), w3, padding=1),
+             maxpool2d(between(h))]
+    if conv_last:  # the sequence conv or maxpool then stores h's first gradient
+        terms.reverse()
+    loss = add(*(sum_all(mul(t, Tensor(rand(t.shape, seed=96 + i, dtype=dtype))))
+                 for i, t in enumerate(terms)))
+    backward(loss)
+    return [t.grad for t in (x, z, w1, w2, w3, b1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [4, 2])
+@pytest.mark.parametrize("conv_last", [False, True])
+@pytest.mark.parametrize("strided_sum", [False, True])
+def test_fan_out_is_bit_identical_to_one_of_fresh_copies(
+        monkeypatch, dtype, c, conv_last, strided_sum):
+    # strided_sum: the per-tap partial sums go straight into the layout
+    if strided_sum:
+        monkeypatch.setattr(autograd, "STRIDED_SUM_BYTES", 0)
+    _assert_bit_identical([_fan_out(between, dtype, c, conv_last)
+                           for between in (lambda t: t, _copied)])
+
+
+def test_a_chain_conv_stores_its_input_gradient_in_the_input_layout():
+    x, _, _ = _same_conv()
+    w1 = Tensor(rand((32, 32, 3, 3), seed=97, dtype=np.float32) * 0.1,
+                requires_grad=True)
+    h = conv2d(x, w1, padding=1, leaky=True)
+    w2 = Tensor(rand((32, 32, 3, 3), seed=98, dtype=np.float32) * 0.1,
+                requires_grad=True)
+    y = conv2d(h, w2, padding=1, leaky=True)
+    # y's gradient as accumulate_grad places it: in y's own layout
+    g = _dy_layout(y.shape, y.dtype, *y._layout)[2]
+    g[...] = rand(y.shape, seed=99, dtype=np.float32)
+    _, kept, peak = _traced(lambda: y._backward(g))
+    buf, grid, dy = _dy_layout(h.shape, h.dtype, *h._layout, holding=h.grad)
+    assert h.grad.base is buf
+    # h's gradient, born in its layout (one padded map: h._padded plus one
+    # row); g is masked in place, and neither dx on the padded-width grid
+    # nor a copy of it for h.grad is built (the parent: 3 padded maps); the
+    # weight gradient's column blocks and w2.grad come beside it
+    padded = buf.nbytes
+    assert padded < 1.02 * h._padded.nbytes
+    assert peak <= padded + 2 * TAP_BLOCK_BYTES + 65536
+    assert kept <= padded + 65536
+    # the padded-width rows' wrap columns are zero, as the layout needs
+    assert not grid.reshape(*h.shape[:3], -1)[..., h.shape[3]:].any()
 
 
 def test_a_closure_holds_the_only_reference_to_its_gradient():

@@ -1,0 +1,42 @@
+"""The backward memory report on one tiny stage-2 step."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_PATH = ROOT / "tools" / "backward_memory.py"
+_spec = importlib.util.spec_from_file_location("backward_memory", _PATH)
+backward_memory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(backward_memory)
+
+
+def test_tiny_step_reports_every_closure(capsys):
+    assert backward_memory.main(["64", "128", "--config", "tiny"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = float(re.fullmatch(r"backward start: ([\d.]+) MB", lines[0])[1])
+    # one (name, before, peak, after) row per closure, from the loss back
+    # to the first feature conv
+    rows = [line.split() for line in lines[2:-1]]
+    names = [r[0] for r in rows]
+    assert names[0] == "_stage_loss"
+    for name in ("refine.c3", "refine.c2", "refine.c1", "refine.match", "add",
+                 "maxpool2d", "feat.conv1", "shift.clue"):
+        assert name in names
+    assert names.count("refine.match") == 5
+    assert names[-1] == "feat.conv1"
+    before, peak, after = ([float(r[i]) for r in rows] for i in (1, 2, 3))
+    assert all(p >= max(b, a) for b, p, a in zip(before, peak, after))
+    assert before[0] == pytest.approx(start, abs=0.2)
+    top = max(peak)
+    last = re.fullmatch(r"backward peak: ([\d.]+) MB in (\S+)", lines[-1])
+    assert float(last[1]) == top and names[peak.index(top)] == last[2]
+
+
+@pytest.mark.parametrize("size", [["64"], ["64", "100"], ["0", "128"]])
+def test_bad_size_is_a_usage_error(size):
+    with pytest.raises(SystemExit) as exc:
+        backward_memory.main(size)
+    assert exc.value.code == 2

@@ -402,6 +402,20 @@ def test_auto_shift_conv_is_sum_of_single_delta_branches():
     np.testing.assert_array_equal(swept, total)
 
 
+def test_auto_shift_conv_sums_its_branches_in_one_node():
+    left = Tensor(rand((1, 1, 4, 8), seed=25, dtype=np.float32))
+    right = Tensor(rand((1, 1, 4, 8), seed=26, dtype=np.float32))
+    base = np.round(rand((4, 8), seed=29) * 2).astype(np.float32)
+    outs = []
+    for tracked in (False, True):
+        w = Tensor(rand((4, 2, 3, 3), seed=27, dtype=np.float32), requires_grad=tracked)
+        outs.append(auto_shift_conv(left, right, base, w, delta_range=2))
+    # one node over all five branches, summed in delta order with or
+    # without a graph, so every bit is the same
+    assert outs[0]._parents == () and len(outs[1]._parents) == 5
+    assert outs[0].data.tobytes() == outs[1].data.tobytes()
+
+
 def test_auto_shift_conv_weight_channels_checked():
     left = Tensor(rand((1, 3, 4, 8)))
     right = Tensor(rand((1, 3, 4, 8)))

@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Where a stage-2 training step's backward holds its memory.
+
+Run from the repository root:
+
+    python3 tools/backward_memory.py [HEIGHT WIDTH] [--config desk|tiny]
+
+The tool builds the seed-0 model of the configuration (desk by default),
+one synthetic pair of HEIGHT x WIDTH (384 x 768 by default; both multiples
+of 64) and runs one stage-2 step's forward and loss under `tracemalloc`,
+as `training.train_stage` does.  It then runs `backward` with every
+closure wrapped, and prints the traced memory when the backward starts
+(the recorded graph, the inputs and the model), then one row per closure:
+the traced memory before it runs, its peak, and the memory after it.  A
+closure is named after the one layer whose parameters it reads, else
+after the function that recorded it (the loss reads every weight).  The
+last line names the highest peak.  Figures are in MB (10^6 bytes) and
+count only allocations Python's tracer sees, numpy's arrays among them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from shiftconvnet import autograd, data, losses, network, training  # noqa: E402
+
+CONFIGS = {"desk": network.desk_config, "tiny": network.tiny_config}
+PAIR_SEED = 1
+
+
+def _mb(nbytes: int) -> float:
+    return nbytes / 1e6
+
+
+def _label(node, names: dict[int, str]) -> str:
+    layers = {names[id(p)].rsplit(".", 1)[0] for p in node._parents if id(p) in names}
+    if len(layers) == 1:
+        return layers.pop()
+    return node._backward.__qualname__.split(".")[0]
+
+
+def _watched(closure, label: str, rows: list):
+    def run(g):
+        # hand the closure the gradient's only reference, as backward does
+        box = [g]
+        del g
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        closure(box.pop())
+        after, peak = tracemalloc.get_traced_memory()
+        rows.append((label, before, peak, after))
+
+    return run
+
+
+def measure(config: str, height: int, width: int):
+    """(memory at backward start, [(label, before, peak, after)]) in bytes."""
+    rows: list = []
+    tracemalloc.start()
+    try:
+        model = network.ShiftConvNet(CONFIGS[config](), seed=0)
+        pair = data.gen_synthetic_pair(data.SynthConfig(width=width, height=height,
+                                                        seed=PAIR_SEED))
+        left, right, gt = (a[None] for a in (pair.left, pair.right, pair.gt_disp))
+        decay = [model.params[n] for n in training.stage_param_names(model, 2)
+                 if n.endswith(".w")]
+        scale = model.config.small_map_scale
+        gt_small = data.resize_nearest(gt, height // scale, width // scale,
+                                       is_disparity=True)
+        out = model.forward(autograd.Tensor(left), autograd.Tensor(right),
+                            refine=True)
+        loss = losses.loss2(out.refined_disp, gt, out.small_disp, gt_small,
+                            decay, training.TrainConfig().loss)
+        del out
+        names = {id(t): name for name, t in model.params.items()}
+        for node in autograd._toposort(loss):
+            if node._backward is not None:
+                node._backward = _watched(node._backward, _label(node, names), rows)
+        start = tracemalloc.get_traced_memory()[0]
+        autograd.backward(loss)
+    finally:
+        tracemalloc.stop()
+    return start, rows
+
+
+def report(start: int, rows: list) -> str:
+    lines = [f"backward start: {_mb(start):.1f} MB",
+             f"{'closure':<24}{'before':>10}{'peak':>10}{'after':>10}"]
+    for label, before, peak, after in rows:
+        lines.append(f"{label:<24}{_mb(before):>10.1f}{_mb(peak):>10.1f}"
+                     f"{_mb(after):>10.1f}")
+    top = max(rows, key=lambda r: r[2])
+    lines.append(f"backward peak: {_mb(top[2]):.1f} MB in {top[0]}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("size", nargs="*", type=int, default=[384, 768],
+                        metavar="HEIGHT WIDTH")
+    parser.add_argument("--config", choices=sorted(CONFIGS), default="desk")
+    args = parser.parse_args(argv)
+    if len(args.size) != 2 or any(v < 64 or v % 64 for v in args.size):
+        parser.error("give HEIGHT and WIDTH, each a positive multiple of 64")
+    print(report(*measure(args.config, *args.size)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
