@@ -32,17 +32,9 @@ applies the activation in place over the flat (N, O, oH*Wp) planes, then
 zeroes those columns, and the output's data is the (N, O, oH, oW) view.
 The output gradient's layout (below) puts zeros under them.
 
-A "same" conv (stride 1, padding 1, 3x3: every stride-1 conv of the
-network) has oH = H and Wp = W + 2 = oW + 2, so its zeroed wrap columns
-are exactly the padding columns of a map of its own size.  It writes its
-core's result at flat offset Wp + 1 of an (N, O, (H+2)*Wp + 2) buffer
-whose ring around those rows is zeroed, which is then, bit for bit, the
-operand a same conv lowers that output to: the output is born padded.  A same conv whose one input was
-born so reads that buffer as its operand, in the forward and in the weight
-gradient, and lowers nothing.  How the taps meet the kernel
-depends on its shape.  When in_channels < 2 * out_channels,
-`_tap_columns` stacks the kH*kW runs of a block of whole output rows into
-one (C*kH*kW, rows*Wp) matrix (im2col,
+How the taps meet the kernel depends on its shape.  When in_channels <
+2 * out_channels, `_tap_columns` stacks the kH*kW runs of a block of
+whole output rows into one (C*kH*kW, rows*Wp) matrix (im2col,
 Chellapilla et al. 2006), so the block is one GEMM with a reduction of
 C*kH*kW; blocks hold at most `TAP_BLOCK_BYTES` per image, so the copy
 stays in cache and out of peak memory (as in MEC, Cho and Brand, arXiv
@@ -99,26 +91,36 @@ identities hold for any kernel, padding and stride.  The input gradient is
 the core with the flipped kernel run on the buffer as it stands: read from
 flat offset p*Wp + p at s = 1, or from 0 at s > 1 and then unfolded.  The
 buffer's view from flat offset (kH' - 1)*Wp + kW' - 1 is exactly the
-weight gradient's padded-width grid.  So conv2d's backward writes its
-masked gradient into one such buffer, with no pad, crop or zero fill, and
-the bias gradient sums the same view.  transposed_conv2d runs its forward
-as that input gradient on x placed in the buffer, its epilogue in place on
-the unfolded result; its backward lowers its
-gradient once, the one operand of both its adjoints (the conv forward, and
-the weight gradient with x placed again as the grid).
+weight gradient's padded-width grid.  So conv2d's backward masks its
+gradient in one such buffer, with no pad, crop or zero fill, and the bias
+gradient sums the same view.  transposed_conv2d runs its forward as that
+input gradient on x placed in the buffer, its epilogue in place on the
+unfolded result; its backward lowers its gradient once, the one operand of
+both its adjoints (the conv forward, and the weight gradient with x placed
+again as the grid).
 
-A conv2d output's gradient is born in that layout.  The output records
-its layout (`Tensor._layout`); `accumulate_grad` copies the first
-contribution into the dy view of a fresh buffer, zero everywhere else, and
-adds later ones to that view, so the conv's backward masks the gradient
-in place and builds no operand of its own.  A gradient handed to it any
-other way is copied into a fresh layout.  A stride-1 conv whose single
-input is a conv2d output with rows as wide as its own core's grid (every
-same -> same link of the network), and which has no gradient yet, runs its
-input gradient straight into that input's layout grid and zeroes the wrap
-columns, so neither the padded-width result nor a cropped copy of it is
-built.  Once such an output holds at least `STRIDED_SUM_BYTES` per image,
-the per-tap core adds its partial products straight into it.
+Every conv2d output records its layout, `Tensor._layout` = (in_hw, kshape,
+stride, padding), the one record of its buffers.  Its gradient is the dy
+view of a fresh buffer of that layout: `accumulate_grad` copies the first
+contribution there and adds later ones to it, and `backward` seeds a
+tracked root through it.  So the conv's backward masks the gradient in
+place and takes its base as both adjoints' operand; a gradient anywhere
+else raises.
+
+A "same" conv (stride 1, padding 1, 3x3: every stride-1 conv of the
+network) has oH = H and Wp = W + 2 = oW + 2, so its zeroed wrap columns
+are exactly the padding columns of a map of its own size.  It writes its
+core's result at flat offset Wp + 1 of an (N, O, (H+2)*Wp + 2) buffer
+whose ring around those rows is zeroed, which is then, bit for bit, the
+operand a same conv lowers that output to: the output is born padded, its
+data the interior of `data.base`.  A same conv whose single input is a
+same conv's output (every same -> same link of the network) is chained.
+It reads that buffer as its operand, in the forward and in the weight
+gradient, and lowers nothing.  When its input has no gradient yet, it runs
+the input gradient straight into the input's layout grid and zeroes the
+wrap columns, so neither the padded-width result nor a cropped copy of it
+is built.  Once such an output holds at least `STRIDED_SUM_BYTES` per
+image, the per-tap core adds its partial products straight into it.
 """
 
 from __future__ import annotations
@@ -158,11 +160,10 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward: Callable | None = None
-        # set by a same conv2d on its output: the zero-ringed buffer whose
-        # interior `data` is; a same conv reads it while `data` still is
-        self._padded: np.ndarray | None = None
-        # set by conv2d on its output: (in_hw, kshape, stride, padding), the
-        # `_dy_layout` its backward reads and its gradient is placed in
+        # set by conv2d on its output, the one record of its buffers:
+        # (in_hw, kshape, stride, padding).  Its gradient is the dy view of
+        # that `_dy_layout`; a same conv's `data` is the interior of the
+        # born-padded operand `data.base` (see the module docstring)
         self._layout: tuple | None = None
 
     @property
@@ -265,7 +266,8 @@ def backward(loss: Tensor):
             f"backward requires a scalar loss; got shape {tuple(loss.shape)}"
         )
     order = _toposort(loss)
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = None  # seeded as any gradient is: a conv output's in its layout
+    accumulate_grad(loss, np.ones(loss.shape, loss.dtype))
     while order:
         node = order.pop()
         if node._backward is None:
@@ -355,15 +357,16 @@ def _unfold(f: np.ndarray, s: int, p: int, hw: tuple[int, int]) -> np.ndarray:
 
 def _dy_layout(shape: tuple, dtype, in_hw: tuple[int, int],
                kshape: tuple[int, int], stride: int, padding: int,
-               holding: np.ndarray | None = None):
+               g: np.ndarray | None = None):
     """The output-gradient layout: (buf, grid, dy).
 
     buf is a zeroed flat-row buffer on the core's wp-wide grid; dy, the
     (N, O, oH, oW) view that receives the gradient, sits at row kh - 1,
     column kw - 1 of it, with kh x kw the core's kernel.  grid is buf's
     (N, O, oH*wp) view from that offset, the weight gradient's operand.
-    When `holding` already is such a dy view, buf is its base
-    (`holding.base is buf` tells) and nothing is allocated.
+    Given g, a gradient placed in such a layout, buf is g.base and nothing
+    is allocated; a g whose base is not a buffer of the layout's size
+    raises `ContractViolation`.
     """
     n, oc, oh, ow = shape
     hp, wp, kh, kw = _grid(in_hw, kshape, stride, padding)
@@ -373,17 +376,13 @@ def _dy_layout(shape: tuple, dtype, in_hw: tuple[int, int],
     size = (n, oc, max(hp * wp, start + (rows + kh - 1) * wp) + kw - 1)
     off = (kh - 1) * wp + kw - 1
 
-    def views(buf):
-        grid = buf[:, :, off : off + oh * wp]
-        return buf, grid, grid.reshape(n, oc, oh, wp)[..., :ow]
-
-    buf = None if holding is None else holding.base
-    if buf is not None and buf.shape == size and buf.dtype == holding.dtype:
-        placed = views(buf)
-        dy = placed[2]
-        if dy.strides == holding.strides and dy.ctypes.data == holding.ctypes.data:
-            return placed
-    return views(np.zeros(size, dtype))
+    buf = np.zeros(size, dtype) if g is None else g.base
+    if buf is None or buf.shape != size:
+        raise ContractViolation(
+            f"a conv2d output's {g.shape} gradient must sit in its layout, "
+            f"a {size} buffer, as accumulate_grad places it")
+    grid = buf[:, :, off : off + oh * wp]
+    return buf, grid, grid.reshape(n, oc, oh, wp)[..., :ow]
 
 
 def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -587,13 +586,13 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
     along the rw-wide rows, and the rw - ow wrap columns are zeroed last.
     The output's data is the (N, O, oH, ow) view.
 
-    The backward hands the output gradient and the leaky mask (None
-    without one) to `operand`, which returns the input and weight
-    gradients' operands, built once, and the masked gradient.  The
-    incoming gradient is dropped then.  `input_grad` and `weight_grad` are
-    the core's adjoints on those operands; each of the inputs `xs` takes
-    its own channel range of the input gradient, unless `input_grad`
-    returns None, having stored it in the one input already.
+    The backward masks the output gradient in place by the leaky mask and
+    hands it to `operand`, which returns the input and weight gradients'
+    operands, built once.  The gradient is dropped once the bias gradient
+    has summed it.  `input_grad` and `weight_grad` are the core's adjoints
+    on those operands; each of the inputs `xs` takes its own channel range
+    of the input gradient, unless `input_grad` returns None, having stored
+    it in the one input already.
     """
     parents = (*xs, w) if b is None else (*xs, w, b)
     n, oc, oh, rw = y.shape
@@ -607,11 +606,12 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
         y[..., ow:] = 0
 
     def bwd(g):
-        dx_op, dw_op, gm = operand(g, bits)
-        del g
+        if bits is not None:
+            _leaky_grad(g, bits, g)
+        dx_op, dw_op = operand(g)
         if b is not None and b.requires_grad:
-            accumulate_grad(b, gm.sum(axis=(0, 2, 3)).reshape(b.shape))
-        del gm
+            accumulate_grad(b, g.sum(axis=(0, 2, 3)).reshape(b.shape))
+        del g
         if any(x.requires_grad for x in xs):
             dx = input_grad(dx_op)
             lo = 0
@@ -642,6 +642,10 @@ def _stackable(tensors: Sequence[Tensor], op: str) -> tuple[Tensor, ...]:
                 f"vs {tuple(t.shape)}"
             )
     return tensors
+
+
+# (kshape, stride, padding) of a "same" conv, as the tail of `Tensor._layout`
+_SAME = ((3, 3), 1, 1)
 
 
 def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
@@ -682,32 +686,24 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
     _check_bias(b, oc, "conv2d")
 
     wp = _grid((h, wd), (kh, kw), stride, padding)[1]
-    same = stride == 1 and padding == 1 and (kh, kw) == (3, 3)
+    same = ((kh, kw), stride, padding) == _SAME
+    # a same conv reading one same conv's output (module docstring)
+    chained = same and len(xs) == 1 and (xs[0]._layout or ())[1:] == _SAME
 
     def lowered():
-        # a same conv reads a born-padded input's buffer as it stands
-        buf = xs[0]._padded if same and len(xs) == 1 else None
-        if buf is not None and xs[0].data.base is buf:
-            return buf
+        if chained:  # the input's born-padded buffer, as it stands
+            return xs[0].data.base
         return _lower([t.data for t in xs], stride, padding, (kh, kw))
 
-    def operand(g, bits):
-        # g is masked in place when accumulate_grad placed it in the layout
-        buf, grid, dy = _dy_layout(g.shape, g.dtype, (h, wd), (kh, kw), stride,
-                                   padding, holding=g)
-        if bits is not None:
-            _leaky_grad(g, bits, dy)
-        elif g.base is not buf:
-            dy[...] = g
-        return buf, grid, dy
+    def operand(g):  # g sits in its layout: buf and grid are its base's
+        return _dy_layout(g.shape, g.dtype, (h, wd), (kh, kw), stride, padding, g)[:2]
 
     def input_grad(buf):
         x = xs[0]
-        if (stride > 1 or len(xs) > 1 or x.grad is not None or x._layout is None
-                or _grid(*x._layout)[1] != wp or x.dtype != buf.dtype):
+        if not chained or x.grad is not None:
             return _conv_input_grad(buf, w.data, stride, padding, (h, wd))[..., :wd]
-        # x's rows are as wide as this core's: its gradient is born in its
-        # own layout, the wrap columns zeroed as in the forward epilogue
+        # x's gradient is born in its own layout, whose grid has this
+        # core's rows; the wrap columns are zeroed as in the forward epilogue
         _, grid, x.grad = _dy_layout(x.shape, x.dtype, *x._layout)
         _conv_input_grad(buf, w.data, stride, padding, (h, wd), grid)
         grid.reshape(n, c, h, wp)[..., wd:] = 0
@@ -724,14 +720,13 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
         padded[:, :, (oh + 1) * wp + 1 :] = 0
         core = padded[:, :, wp + 1 : (oh + 1) * wp + 1]
     else:
-        padded = core = None
+        core = None
     core = _conv_flat(xp, _lower_kernel(w.data, stride), oh, wp, core)
     del xp
     out = _conv_epilogue(
         core, ow, xs, w, b, leaky, operand, input_grad,
         lambda grid: _conv_weight_grad(lowered(), grid, wp, (kh, kw), stride),
     )
-    out._padded = padded
     out._layout = ((h, wd), (kh, kw), stride, padding)
     return out
 
@@ -774,10 +769,9 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         dy[...] = x.data
         return buf, grid
 
-    def operand(g, bits):
-        gm = g if bits is None else _leaky_grad(g, bits, g)
-        gl = _lower((gm,), stride, padding, (kh, kw))  # one fold for both adjoints
-        return gl, gl, gm
+    def operand(g):
+        gl = _lower((g,), stride, padding, (kh, kw))  # one fold for both adjoints
+        return gl, gl
 
     y = _conv_input_grad(placed()[0], w.data, stride, padding, (oh, ow))
     return _conv_epilogue(

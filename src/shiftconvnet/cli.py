@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: `gen` (synthetic dataset), `train`, `eval`, `ablate`, `infer`,
-`bench`.  Exit codes: 0 success, 1 usage error, 2 data or parse error,
-3 numerical failure.
+`bench`.  Exit codes: 0 success, 1 usage error, 2 data or parse error or
+out of memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -268,6 +268,9 @@ def main(argv=None) -> int:
         return 3
     except (CodecError, ContractViolation, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory. {e}".rstrip(), file=sys.stderr)
         return 2
 
 

@@ -837,6 +837,13 @@ def _traced(fn):
     return result, current - base, peak - base
 
 
+def _placed(y: Tensor, g: np.ndarray) -> np.ndarray:
+    """g where accumulate_grad places y's gradient: a conv2d output's in its
+    layout, so that y's closure can be called with it."""
+    accumulate_grad(y, g)
+    return autograd._pop_grad(y)
+
+
 def _same_conv():
     # 1 MiB maps, four times a column block
     x = Tensor(rand((1, 32, 64, 128), seed=60, dtype=np.float32),
@@ -854,7 +861,7 @@ def test_leaky_conv_node_keeps_its_mask_as_bits():
     # beside the output's born-padded buffer (its map plus the padding
     # ring), one bit per activation (1/32 of float32 bytes), plus the node's
     # records and numpy's first-call caches; a bool mask would be 1/4
-    assert kept - y._padded.nbytes <= y.data.nbytes // 32 + 16384
+    assert kept - y.data.base.nbytes <= y.data.nbytes // 32 + 16384
 
 
 def test_untracked_leaky_conv_frees_the_core_result_before_the_activation():
@@ -875,8 +882,9 @@ def test_same_conv_backward_holds_one_padded_gradient_buffer():
     padded = n * c * ((h + 2) * (wd + 2) + 2) * x.data.itemsize
 
     def backward_peak(y):
-        # fresh leaves, so that the backward stores their first gradients
-        g = rand(y.shape, seed=63, dtype=np.float32)
+        # fresh leaves, so that the backward stores their first gradients;
+        # g placed as accumulate_grad places it (in a conv2d output's layout)
+        g = _placed(y, rand(y.shape, seed=63, dtype=np.float32))
         return _traced(lambda: y._backward(g))[2]
 
     # the output gradient's buffer (as many channels as dx here), dx on the
@@ -916,13 +924,15 @@ def test_same_conv_output_is_born_in_its_consumers_operand():
         w = Tensor(rand((4, 3, 3, 3), seed=71, dtype=np.float32))
         b = Tensor(rand((1, 4, 1, 1), seed=72, dtype=np.float32)) if bias else None
         y = conv2d(x, w, b, padding=1, leaky=leaky)
-        assert y.data.base is y._padded
+        padded = y.data.base
         want = _lower((y.data,), 1, 1, (3, 3))
-        assert (y._padded.dtype, y._padded.shape) == (want.dtype, want.shape)
-        assert y._padded.tobytes() == want.tobytes()  # a ring of +0.0
-    # only a same conv's output is born padded
-    assert conv2d(x, w, stride=2, padding=1)._padded is None
-    assert conv2d(x, Tensor(w.data[:, :, :1, :1]), padding=1)._padded is None
+        assert (padded.dtype, padded.shape) == (want.dtype, want.shape)
+        assert padded.tobytes() == want.tobytes()  # a ring of +0.0
+    # only a same conv's output is born padded: another's base is the
+    # core's result, not the operand a same conv lowers it to
+    for y in (conv2d(x, w, stride=2, padding=1),
+              conv2d(x, Tensor(w.data[:, :, :1, :1]), padding=1)):
+        assert y.data.base.shape != _lower((y.data,), 1, 1, (3, 3)).shape
 
 
 def _copied(t: Tensor) -> Tensor:
@@ -931,25 +941,49 @@ def _copied(t: Tensor) -> Tensor:
                      lambda g: accumulate_grad(t, g))
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("leaky", [False, True])
-def test_same_chain_is_bit_identical_to_one_of_fresh_copies(dtype, bias, leaky):
+SAME, STRIDED, POINTWISE = (3, 1, 1), (3, 2, 1), (1, 1, 0)  # (k, stride, padding)
+
+
+def _chain_runs(dtype, bias, leaky, links):
+    """A chain of three convs, with links[i] the i-th one's (k, stride,
+    padding), run as it is and with each input a fresh copy: for each run
+    the output and every leaf's gradient."""
     # 3 -> 4 -> 5 merge the taps, 5 -> 2 runs per-tap GEMMs
     runs = []
     for between in (lambda t: t, _copied):
         x = Tensor(rand((2, 3, 6, 7), seed=73, dtype=dtype), requires_grad=True)
         leaves, h = [x], x
-        for i, (oc, ic) in enumerate(((4, 3), (5, 4), (2, 5))):
-            w = Tensor(rand((oc, ic, 3, 3), seed=74 + i, dtype=dtype),
+        for i, ((oc, ic), (k, s, p)) in enumerate(zip(((4, 3), (5, 4), (2, 5)),
+                                                       links)):
+            w = Tensor(rand((oc, ic, k, k), seed=74 + i, dtype=dtype),
                        requires_grad=True)
             b = (Tensor(rand((1, oc, 1, 1), seed=77 + i, dtype=dtype),
                         requires_grad=True) if bias else None)
             leaves += [w] if b is None else [w, b]
-            h = conv2d(between(h), w, b, padding=1, leaky=leaky)
+            h = conv2d(between(h), w, b, stride=s, padding=p, leaky=leaky)
         backward(sum_all(mul(h, Tensor(rand(h.shape, seed=80, dtype=dtype)))))
         runs.append([h.data] + [t.grad for t in leaves])
-    _assert_bit_identical(runs)
+    return runs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("leaky", [False, True])
+def test_same_chain_is_bit_identical_to_one_of_fresh_copies(dtype, bias, leaky):
+    _assert_bit_identical(_chain_runs(dtype, bias, leaky, (SAME, SAME, SAME)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("leaky", [False, True])
+@pytest.mark.parametrize("links", [
+    # a same conv reading a stride-2 or a 1x1 conv's output, and a 1x1 conv
+    # reading a same conv's output: none of them is chained
+    (STRIDED, SAME, SAME),
+    (POINTWISE, SAME, SAME),
+    (SAME, SAME, POINTWISE),
+], ids=["strided-then-same", "1x1-then-same", "same-then-1x1"])
+def test_unchained_links_are_bit_identical_to_fresh_copies(dtype, leaky, links):
+    _assert_bit_identical(_chain_runs(dtype, True, leaky, links))
 
 
 def test_a_chain_conv_lowers_nothing(monkeypatch):
@@ -962,7 +996,7 @@ def test_a_chain_conv_lowers_nothing(monkeypatch):
     monkeypatch.setattr(autograd, "_lower",
                         lambda *args: calls.append(args) or lower(*args))
     y = conv2d(h, w2, padding=1, leaky=True)
-    y._backward(rand(y.shape, seed=84))
+    y._backward(_placed(y, rand(y.shape, seed=84)))
     assert h.grad is not None and w2.grad is not None
     assert calls == []
 
@@ -1029,22 +1063,58 @@ def test_a_chain_conv_stores_its_input_gradient_in_the_input_layout():
     w2 = Tensor(rand((32, 32, 3, 3), seed=98, dtype=np.float32) * 0.1,
                 requires_grad=True)
     y = conv2d(h, w2, padding=1, leaky=True)
-    # y's gradient as accumulate_grad places it: in y's own layout
-    g = _dy_layout(y.shape, y.dtype, *y._layout)[2]
-    g[...] = rand(y.shape, seed=99, dtype=np.float32)
+    g = _placed(y, rand(y.shape, seed=99, dtype=np.float32))
     _, kept, peak = _traced(lambda: y._backward(g))
-    buf, grid, dy = _dy_layout(h.shape, h.dtype, *h._layout, holding=h.grad)
+    buf, grid, dy = _dy_layout(h.shape, h.dtype, *h._layout, h.grad)
     assert h.grad.base is buf
-    # h's gradient, born in its layout (one padded map: h._padded plus one
-    # row); g is masked in place, and neither dx on the padded-width grid
-    # nor a copy of it for h.grad is built (the parent: 3 padded maps); the
-    # weight gradient's column blocks and w2.grad come beside it
+    np.testing.assert_array_equal(dy, h.grad)
+    # h's gradient, born in its layout (one padded map: h.data.base plus
+    # one row); g is masked in place, and neither dx on the padded-width
+    # grid nor a copy of it for h.grad is built (the parent: 3 padded
+    # maps); the weight gradient's column blocks and w2.grad come beside it
     padded = buf.nbytes
-    assert padded < 1.02 * h._padded.nbytes
+    assert padded < 1.02 * h.data.base.nbytes
     assert peak <= padded + 2 * TAP_BLOCK_BYTES + 65536
     assert kept <= padded + 65536
     # the padded-width rows' wrap columns are zero, as the layout needs
     assert not grid.reshape(*h.shape[:3], -1)[..., h.shape[3]:].any()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_a_conv_closure_rejects_a_gradient_outside_its_layout(stride):
+    x = Tensor(rand((1, 2, 4, 5), seed=100), requires_grad=True)
+    y = conv2d(x, Tensor(rand((3, 2, 3, 3), seed=101)), stride=stride, padding=1)
+    with pytest.raises(ContractViolation, match="layout"):
+        y._backward(rand(y.shape, seed=102))  # a plain array
+    # another conv's layout is the wrong size
+    other = conv2d(x, Tensor(rand((3, 2, 1, 1), seed=103)), stride=stride)
+    assert other.shape == y.shape
+    with pytest.raises(ContractViolation, match="layout"):
+        y._backward(_placed(other, rand(y.shape, seed=102)))
+    assert x.grad is None
+
+
+@pytest.mark.parametrize("k, padding", [(3, 0), (3, 1), (1, 0)])
+def test_backward_from_a_conv_output_root_matches_grad_check(k, padding):
+    # backward seeds the 1x1x1x1 root through accumulate_grad, so that the
+    # conv's gradient sits in its layout; (3, 1) is a same conv, and with a
+    # same conv before it a chained one
+    hw = k - 2 * padding
+    x0 = Tensor(rand((1, 2, hw, hw), seed=104))
+    w0 = Tensor(rand((1, 2, k, k), seed=105))
+    w1 = Tensor(rand((2, 2, k, k), seed=106))
+    b = Tensor(rand((1, 1, 1, 1), seed=107), requires_grad=True)
+
+    def root(x, w, leaky):
+        return conv2d(x, w, b, padding=padding, leaky=leaky)
+
+    assert root(x0, w0, False).shape == (1, 1, 1, 1)
+    for leaky in (False, True):
+        assert grad_check(lambda t: root(t, w0, leaky), x0) < GRAD_TOL
+        assert grad_check(lambda t: root(x0, t, leaky), w0) < GRAD_TOL
+        if hw == 1:
+            assert grad_check(lambda t: root(conv2d(t, w1, padding=padding), w0,
+                                             leaky), x0) < GRAD_TOL
 
 
 def test_a_closure_holds_the_only_reference_to_its_gradient():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftconvnet.autograd import ContractViolation
+from shiftconvnet import cli
 from shiftconvnet.cli import main
 from shiftconvnet.config import (
     DATA_KEYS,
@@ -448,6 +449,27 @@ def test_cli_periodic_checkpoints(tmp_path, capsys):
     assert (tmp_path / "p.scnc.iter1").exists()
     assert (tmp_path / "p.scnc.iter2").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, work", [("gen", "gen_synthetic_pair"),
+                                           ("bench", "bench_forward")])
+@pytest.mark.parametrize("message", ["", "Unable to allocate 447. GiB for an "
+                                         "array with shape (3, 200000, 200000)"])
+def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command,
+                                   work, message):
+    # the subcommand's work raises as numpy does for a size too large to
+    # allocate; nothing is allocated for real
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, work, no_memory)
+    argv = (["gen", "--out", str(tmp_path / "data"), "--count", "1"]
+            if command == "gen" else
+            ["bench", "--config", write_config(tmp_path / "t.cfg")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_data_problems_exit_2(tmp_path, capsys):
