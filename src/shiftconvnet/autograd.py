@@ -8,9 +8,31 @@ topological order and accumulates gradients additively into every
 grad-tracked tensor on the path.  `backward` consumes the graph: an op
 output's gradient is handed over to its backward, and once that has run its
 closure and parent links are dropped, so only leaves (tensors no op
-produced) keep their gradients, and each intermediate is freed as soon as
-no pending backward holds it (Chen et al., arXiv 1604.06174).  A second
-`backward` through a consumed node raises.
+produced) keep their gradients, and what a backward saved is freed as soon
+as it has run (Chen et al., arXiv 1604.06174).  A second `backward` through
+a consumed node raises.
+
+The graph is made of records, not of values.  A grad-tracked tensor is two
+objects: the `Tensor`, its value (`data`, and the `_layout` below, which a
+forward reads with or without a graph), and its `Record`: requires_grad,
+the grad slot, the shape and dtype, `_layout`, the backward closure and the
+parents' records.  `Tensor.grad`, `requires_grad`, `_parents` and
+`_backward` read through to the record, which refers to its value only
+weakly; its `data` is the value's array while the value lives, else an
+empty one.  Ops record only through `graph_out(data, parents, backward)`,
+and each backward closure holds the records it passes gradients to and
+the arrays it reads, nothing else: a conv its inputs' operand arrays (each
+input's `data`, or a chained input's born-padded buffer), its weight's
+array and its leaky mask bits; a transposed conv its input's array;
+maxpool its argmax; `correlation_1d` its two inputs' arrays; the loss its
+masks, derivatives and decayed weights' arrays.  `add`, `concat_channels`,
+`hslice_pad` and `warp_horizontal` hold records alone.  So a value no
+backward reads, such as a summed branch, a concatenated group or a pooled
+map's input, is freed during the forward as soon as its caller drops it:
+the saved-tensor design of PyTorch's autograd (Paszke et al., arXiv
+1912.01703), which applies Chen et al.'s rule when the graph is recorded.
+An untracked tensor has no record, so a forward without gradients builds
+none.
 
 float32 is the working precision.  float64 inputs propagate through every
 op unchanged and exist for finite-difference gradient checking
@@ -125,6 +147,7 @@ image, the per-tap core adds its partial products straight into it.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,9 +163,11 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """A (N, C, H, W) value grid, optionally tracked for gradients.
 
-    `data` is always a rank-4 float32 or float64 numpy array.  `grad`, when
-    present, has the same shape and dtype as `data`.  Tensors are treated
-    as immutable after creation except for gradient accumulation during
+    `data` is always a rank-4 float32 or float64 numpy array.  A tracked
+    tensor's graph state lives in its `Record`; `grad`, `requires_grad`,
+    `_parents` and `_backward` read through to it.  `grad`, when present,
+    has the same shape and dtype as `data`.  Tensors are treated as
+    immutable after creation except for gradient accumulation during
     `backward` and in-place parameter updates by the optimizer (which must
     happen outside any recorded graph).
     """
@@ -156,15 +181,39 @@ class Tensor:
                 f"tensors are rank-4 (N, C, H, W); got shape {arr.shape}"
             )
         self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward: Callable | None = None
         # set by conv2d on its output, the one record of its buffers:
         # (in_hw, kshape, stride, padding).  Its gradient is the dy view of
         # that `_dy_layout`; a same conv's `data` is the interior of the
         # born-padded operand `data.base` (see the module docstring)
         self._layout: tuple | None = None
+        self._record: Record | None = Record(self) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._record is not None and self._record.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool):
+        if self._record is not None:
+            self._record.requires_grad = bool(flag)
+        elif flag:
+            self._record = Record(self)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._record is None else self._record.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None):
+        self._record.grad = value  # only a tracked tensor has a grad slot
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._record is None else self._record._parents
+
+    @property
+    def _backward(self) -> Callable | None:
+        return None if self._record is None else self._record._backward
 
     @property
     def shape(self):
@@ -180,7 +229,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        self.grad = None
+        if self._record is not None:
+            self._record.grad = None
 
     def __repr__(self):
         return (
@@ -189,23 +239,69 @@ class Tensor:
         )
 
 
+class Record:
+    """The graph record of a grad-tracked tensor, apart from its value.
+
+    It holds `requires_grad`, the grad slot, the value's shape, dtype and
+    `_layout`, the backward closure and the parents' records, and refers
+    to its value only weakly: `data` is the value's array while the value
+    lives, else an empty array.
+    """
+
+    __slots__ = ("requires_grad", "grad", "shape", "dtype", "_layout",
+                 "_backward", "_parents", "_value")
+
+    def __init__(self, value: Tensor, parents: tuple = (),
+                 backward: Callable | None = None, requires_grad: bool = True):
+        self.requires_grad = requires_grad
+        self.grad = None
+        self.shape, self.dtype = value.data.shape, value.data.dtype
+        self._layout = value._layout
+        self._backward = backward
+        self._parents = parents
+        self._value = weakref.ref(value)
+
+    @property
+    def data(self) -> np.ndarray:
+        value = self._value()
+        return np.empty(0, self.dtype) if value is None else value.data
+
+
+# what a backward closure holds of an untracked tensor: it takes no gradient
+_UNTRACKED = Record(Tensor(np.empty((0, 0, 0, 0), np.float32)),
+                    requires_grad=False)
+
+
+def record_of(t: Tensor) -> Record:
+    """t's graph record, for a backward closure to hold in place of t."""
+    return _UNTRACKED if t._record is None else t._record
+
+
 def graph_out(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     """Wrap an op result, recording parents only when gradients are needed.
 
-    `backward(grad)` must accumulate into the parents via `accumulate_grad`.
-    Subgraphs with no grad-tracked leaves are pruned at record time.
+    `backward(grad)` must accumulate into the parents' records via
+    `accumulate_grad`, and should hold only the records and the arrays it
+    reads, so that no value outlives its caller's use of it.  Subgraphs
+    with no grad-tracked leaves are pruned at record time.
     """
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._record = Record(out, tuple(p._record for p in parents
+                                        if p._record is not None), backward)
     return out
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray):
-    """Add g to t's gradient.  g has t's shape, or a split of its axes
-    (as maxpool's windows), read in the same element order.
+def _new_grad(t: Record) -> np.ndarray:
+    """An unfilled gradient array for t: the dy view of a fresh
+    `_dy_layout` when t is a conv2d output, else a C-ordered array."""
+    if t._layout is None:
+        return np.empty(t.shape, t.dtype)
+    return _dy_layout(t.shape, t.dtype, *t._layout)[2]
+
+
+def accumulate_grad(t: Record | Tensor, g: np.ndarray):
+    """Add g, of t's shape, to t's gradient.
 
     The first contribution is copied rather than added to zeros (one pass,
     and a lone -0.0 stays -0.0), into the dy view of t's `_dy_layout` when
@@ -213,23 +309,18 @@ def accumulate_grad(t: Tensor, g: np.ndarray):
     """
     if not t.requires_grad:
         return
-    first = t.grad is None
-    if first:
-        t.grad = (np.empty(t.shape, t.dtype) if t._layout is None
-                  else _dy_layout(t.shape, t.dtype, *t._layout)[2])
-    # splitting axes reshapes any strided array as a view
-    acc = t.grad if g.shape == t.shape else t.grad.reshape(g.shape)
-    if first:
-        acc[...] = g
+    if t.grad is None:
+        t.grad = _new_grad(t)
+        t.grad[...] = g
     else:
-        acc += g
+        t.grad += g
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
+def _toposort(root: Record) -> list[Record]:
     # Iterative post-order: parents appear before their consumers.
-    order: list[Tensor] = []
+    order: list[Record] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Record, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -265,9 +356,12 @@ def backward(loss: Tensor):
         raise ContractViolation(
             f"backward requires a scalar loss; got shape {tuple(loss.shape)}"
         )
-    order = _toposort(loss)
-    loss.grad = None  # seeded as any gradient is: a conv output's in its layout
-    accumulate_grad(loss, np.ones(loss.shape, loss.dtype))
+    root = loss._record
+    if root is None:
+        return
+    order = _toposort(root)
+    root.grad = None  # seeded as any gradient is: a conv output's in its layout
+    accumulate_grad(root, np.ones(root.shape, root.dtype))
     while order:
         node = order.pop()
         if node._backward is None:
@@ -278,7 +372,7 @@ def backward(loss: Tensor):
         node._backward, node._parents = _released, ()
 
 
-def _pop_grad(t: Tensor) -> np.ndarray:
+def _pop_grad(t: Record | Tensor) -> np.ndarray:
     g, t.grad = t.grad, None
     return g
 
@@ -592,9 +686,13 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
     has summed it.  `input_grad` and `weight_grad` are the core's adjoints
     on those operands; each of the inputs `xs` takes its own channel range
     of the input gradient, unless `input_grad` returns None, having stored
-    it in the one input already.
+    it in the one input already.  The backward holds the parameters' and
+    inputs' records, not the tensors.
     """
     parents = (*xs, w) if b is None else (*xs, w, b)
+    inputs = [(record_of(x), x.shape[1]) for x in xs]
+    wr = record_of(w)
+    br = None if b is None else record_of(b)
     n, oc, oh, rw = y.shape
     flat = y.reshape(n, oc, oh * rw)  # a view: each plane is contiguous
     if b is not None:
@@ -609,18 +707,18 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
         if bits is not None:
             _leaky_grad(g, bits, g)
         dx_op, dw_op = operand(g)
-        if b is not None and b.requires_grad:
-            accumulate_grad(b, g.sum(axis=(0, 2, 3)).reshape(b.shape))
+        if br is not None and br.requires_grad:
+            accumulate_grad(br, g.sum(axis=(0, 2, 3)).reshape(br.shape))
         del g
-        if any(x.requires_grad for x in xs):
+        if any(x.requires_grad for x, _ in inputs):
             dx = input_grad(dx_op)
             lo = 0
-            for x in xs if dx is not None else ():  # None: already stored
-                accumulate_grad(x, dx[:, lo : lo + x.shape[1]])
-                lo += x.shape[1]
+            for x, c in inputs if dx is not None else ():  # None: already stored
+                accumulate_grad(x, dx[:, lo : lo + c])
+                lo += c
             del dx  # freed before the weight gradient lowers the input
-        if w.requires_grad:
-            accumulate_grad(w, weight_grad(dw_op))
+        if wr.requires_grad:
+            accumulate_grad(wr, weight_grad(dw_op))
 
     return graph_out(y[..., :ow], parents, bwd)
 
@@ -689,23 +787,25 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
     same = ((kh, kw), stride, padding) == _SAME
     # a same conv reading one same conv's output (module docstring)
     chained = same and len(xs) == 1 and (xs[0]._layout or ())[1:] == _SAME
+    # the backward reads the inputs' arrays and the weight's, not the tensors
+    src = xs[0].data.base if chained else [t.data for t in xs]
+    x0, wa = record_of(xs[0]), w.data
 
     def lowered():
         if chained:  # the input's born-padded buffer, as it stands
-            return xs[0].data.base
-        return _lower([t.data for t in xs], stride, padding, (kh, kw))
+            return src
+        return _lower(src, stride, padding, (kh, kw))
 
     def operand(g):  # g sits in its layout: buf and grid are its base's
         return _dy_layout(g.shape, g.dtype, (h, wd), (kh, kw), stride, padding, g)[:2]
 
     def input_grad(buf):
-        x = xs[0]
-        if not chained or x.grad is not None:
-            return _conv_input_grad(buf, w.data, stride, padding, (h, wd))[..., :wd]
+        if not chained or x0.grad is not None:
+            return _conv_input_grad(buf, wa, stride, padding, (h, wd))[..., :wd]
         # x's gradient is born in its own layout, whose grid has this
         # core's rows; the wrap columns are zeroed as in the forward epilogue
-        _, grid, x.grad = _dy_layout(x.shape, x.dtype, *x._layout)
-        _conv_input_grad(buf, w.data, stride, padding, (h, wd), grid)
+        _, grid, x0.grad = _dy_layout(x0.shape, x0.dtype, *x0._layout)
+        _conv_input_grad(buf, wa, stride, padding, (h, wd), grid)
         grid.reshape(n, c, h, wp)[..., wd:] = 0
         return None
 
@@ -721,13 +821,15 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
         core = padded[:, :, wp + 1 : (oh + 1) * wp + 1]
     else:
         core = None
-    core = _conv_flat(xp, _lower_kernel(w.data, stride), oh, wp, core)
+    core = _conv_flat(xp, _lower_kernel(wa, stride), oh, wp, core)
     del xp
     out = _conv_epilogue(
         core, ow, xs, w, b, leaky, operand, input_grad,
         lambda grid: _conv_weight_grad(lowered(), grid, wp, (kh, kw), stride),
     )
     out._layout = ((h, wd), (kh, kw), stride, padding)
+    if out._record is not None:
+        out._record._layout = out._layout
     return out
 
 
@@ -762,21 +864,22 @@ def transposed_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     _check_bias(b, oc, "transposed_conv2d")
 
     wp = _grid((oh, ow), (kh, kw), stride, padding)[1]
+    xd, wa = x.data, w.data  # what the backward reads, not the tensors
 
     def placed():
         # x as the output gradient of the conv this op is the adjoint of
-        buf, grid, dy = _dy_layout(x.shape, x.dtype, (oh, ow), (kh, kw), stride, padding)
-        dy[...] = x.data
+        buf, grid, dy = _dy_layout(xd.shape, xd.dtype, (oh, ow), (kh, kw), stride, padding)
+        dy[...] = xd
         return buf, grid
 
     def operand(g):
         gl = _lower((g,), stride, padding, (kh, kw))  # one fold for both adjoints
         return gl, gl
 
-    y = _conv_input_grad(placed()[0], w.data, stride, padding, (oh, ow))
+    y = _conv_input_grad(placed()[0], wa, stride, padding, (oh, ow))
     return _conv_epilogue(
         y, ow, (x,), w, b, leaky, operand,
-        lambda gl: _conv_core(gl, w.data, stride, wp, (h, wd)),
+        lambda gl: _conv_core(gl, wa, stride, wp, (h, wd)),
         lambda gl: _conv_weight_grad(gl, placed()[1], wp, (kh, kw), stride),
     )
 
@@ -810,11 +913,24 @@ def maxpool2d(x: Tensor) -> Tensor:
         am = bottom.view(np.uint8) << 1
         am |= np.where(bottom, later(v10, v11), later(v00, v01))
 
+    xr = record_of(x)
+
     def bwd(g):
-        dwin = np.zeros((n, c, oh, ow, 4), dtype=g.dtype)
-        np.put_along_axis(dwin, am[..., None], g[..., None], axis=-1)
-        # (n, c, oh, 2, ow, 2): x's axes split, which accumulate_grad reads
-        accumulate_grad(x, dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5))
+        # window position k of x's gradient takes g where k is the first
+        # maximum, else +0.0: g's bit pattern times the 0/1 selection, exact
+        # (as in `_leaky_grad`), written into the phase view k of x's
+        # gradient the first time, then added to it
+        first = xr.grad is None
+        if first:
+            xr.grad = _new_grad(xr)
+        bits = f"u{g.itemsize}"
+        phases = xr.grad.reshape(n, c, oh, 2, ow, 2, copy=False)
+        for k in range(4):
+            view = phases[:, :, :, k >> 1, :, k & 1]
+            if first:
+                np.multiply(g.view(bits), am == k, out=view.view(bits))
+            else:
+                view += np.multiply(g.view(bits), am == k).view(g.dtype)
 
     return graph_out(out, (x,), bwd)
 
@@ -824,9 +940,10 @@ def leaky_relu(x: Tensor) -> Tensor:
     y = np.array(x.data, order="C")
     n, c, h, w = y.shape
     bits = _leaky_planes(y.reshape(n, c, h * w), w, x.requires_grad)
+    xr = record_of(x)
 
     def bwd(g):
-        accumulate_grad(x, _leaky_grad(g, bits, g))
+        accumulate_grad(xr, _leaky_grad(g, bits, g))
 
     return graph_out(y, (x,), bwd)
 
@@ -837,10 +954,11 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=1)
     sizes = [t.shape[1] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    records = [record_of(t) for t in tensors]
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            accumulate_grad(t, g[:, lo:hi])
+        for r, lo, hi in zip(records, offsets[:-1], offsets[1:]):
+            accumulate_grad(r, g[:, lo:hi])
 
     return graph_out(out, tuple(tensors), bwd)
 
@@ -862,15 +980,17 @@ def hslice_pad(x: Tensor, displacement: int) -> Tensor:
     else:
         out[..., -d:] = x.data[..., : w + d]
 
+    xr = record_of(x)
+
     def bwd(g):
-        if not x.requires_grad:
+        if not xr.requires_grad:
             return
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(xr.shape, xr.dtype)
         if d >= 0:
             dx[..., d:] = g[..., : w - d]
         else:
             dx[..., : w + d] = g[..., -d:]
-        accumulate_grad(x, dx)
+        accumulate_grad(xr, dx)
 
     return graph_out(out, (x,), bwd)
 
@@ -894,32 +1014,13 @@ def add(a: Tensor, b: Tensor, *more: Tensor) -> Tensor:
     out = a.data + b.data
     for t in more:
         out += t.data
+    records = [record_of(t) for t in terms]
 
     def bwd(g):
-        for t in terms:
-            accumulate_grad(t, g)
+        for r in records:
+            accumulate_grad(r, g)
 
     return graph_out(out, terms, bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
-
-    return graph_out(a.data * b.data, (a, b), bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum over every element, producing a (1, 1, 1, 1) scalar tensor."""
-    out = a.data.sum(dtype=a.dtype).reshape(1, 1, 1, 1)
-
-    def bwd(g):
-        accumulate_grad(a, np.full_like(a.data, g.reshape(())))
-
-    return graph_out(out, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ContractViolation, Tensor, accumulate_grad, graph_out
+from .autograd import (ContractViolation, Tensor, accumulate_grad, graph_out,
+                       record_of)
 
 
 @dataclass
@@ -47,9 +48,10 @@ def smooth_l1(x: Tensor) -> Tensor:
     is x inside the quadratic region and sign(x) outside.
     """
     out, deriv = _smooth_l1_parts(x.data)
+    xr = record_of(x)
 
     def bwd(g):
-        accumulate_grad(x, g * deriv)
+        accumulate_grad(xr, g * deriv)
 
     return graph_out(out, (x,), bwd)
 
@@ -115,17 +117,19 @@ def _stage_loss(terms, weights, decay: float) -> Tensor:
         coef, inv = dtype.type(coef), dtype.type(1.0 / count)
         term = (err * mask).sum(dtype=dtype) * inv * coef
         total = term if total is None else total + term
-        parts.append((pred, coef, inv, mask, deriv))
+        parts.append((record_of(pred), coef, inv, mask, deriv))
     if decay != 0:
         total = total + weight_decay(decayed) * decay
+    # the backward holds records, masks, derivatives and the weights' arrays
+    saved = [(record_of(w), w.data) for w in decayed]
 
     def bwd(g):
         for pred, coef, inv, mask, deriv in parts:
             accumulate_grad(pred, (g * coef * inv * mask) * deriv)
-        for w in decayed:
-            accumulate_grad(w, (g * 2 * decay) * w.data)
+        for w, wa in saved:
+            accumulate_grad(w, (g * 2 * decay) * wa)
 
-    parents = tuple(part[0] for part in parts) + tuple(decayed)
+    parents = tuple(t[0] for t in terms) + tuple(decayed)
     return graph_out(np.full((1, 1, 1, 1), total, dtype), parents, bwd)
 
 

@@ -29,6 +29,7 @@ from .autograd import (
     conv2d,
     graph_out,
     hslice_pad,
+    record_of,
 )
 
 CONV_THEN_CONCAT = "conv_then_concat"
@@ -172,25 +173,27 @@ def correlation_1d(left: Tensor, right: Tensor, maxdisp: int) -> Tensor:
         raise ContractViolation(f"maxdisp must be >= 0; got {maxdisp}")
 
     inv_c = left.dtype.type(1.0 / c)
-    out = np.zeros((n, maxdisp + 1, h, w), dtype=left.data.dtype)
+    ld, rd = left.data, right.data
+    lr, rr = record_of(left), record_of(right)
+    out = np.zeros((n, maxdisp + 1, h, w), dtype=ld.dtype)
     for d in range(maxdisp + 1):
         out[:, d, :, d:] = np.einsum(
-            "nchw->nhw", left.data[:, :, :, d:] * right.data[:, :, :, : w - d]
+            "nchw->nhw", ld[:, :, :, d:] * rd[:, :, :, : w - d]
         ) * inv_c
 
     def bwd(g):
-        dl = np.zeros_like(left.data) if left.requires_grad else None
-        dr = np.zeros_like(right.data) if right.requires_grad else None
+        dl = np.zeros_like(ld) if lr.requires_grad else None
+        dr = np.zeros_like(rd) if rr.requires_grad else None
         for d in range(maxdisp + 1):
             gd = g[:, d : d + 1, :, d:] * inv_c
             if dl is not None:
-                dl[:, :, :, d:] += gd * right.data[:, :, :, : w - d]
+                dl[:, :, :, d:] += gd * rd[:, :, :, : w - d]
             if dr is not None:
-                dr[:, :, :, : w - d] += gd * left.data[:, :, :, d:]
+                dr[:, :, :, : w - d] += gd * ld[:, :, :, d:]
         if dl is not None:
-            accumulate_grad(left, dl)
+            accumulate_grad(lr, dl)
         if dr is not None:
-            accumulate_grad(right, dr)
+            accumulate_grad(rr, dr)
 
     return graph_out(out, (left, right), bwd)
 
@@ -230,17 +233,18 @@ def warp_horizontal(source: Tensor, disparity: np.ndarray) -> Tensor:
     )
     mask = valid[:, None, :, :].astype(source.data.dtype)
     out = gathered * mask
+    sr = record_of(source)
 
     def bwd(g):
-        if not source.requires_grad:
+        if not sr.requires_grad:
             return
-        ds = np.zeros_like(source.data)
+        ds = np.zeros(sr.shape, sr.dtype)
         gm = g * mask
         nn = np.arange(n)[:, None, None, None]
         cc = np.arange(c)[None, :, None, None]
         yy = np.arange(h)[None, None, :, None]
-        np.add.at(ds, (nn, cc, yy, np.broadcast_to(idx_c, source.shape)), gm)
-        accumulate_grad(source, ds)
+        np.add.at(ds, (nn, cc, yy, np.broadcast_to(idx_c, sr.shape)), gm)
+        accumulate_grad(sr, ds)
 
     return graph_out(out, (source,), bwd)
 

@@ -23,8 +23,6 @@ from shiftconvnet.autograd import (
     hslice_pad,
     leaky_relu,
     maxpool2d,
-    mul,
-    sum_all,
     transposed_conv2d,
 )
 from shiftconvnet.data import (
@@ -63,6 +61,7 @@ from shiftconvnet.training import (
     save_checkpoint,
     train_stage,
 )
+from scalar_ops import mul, sum_all
 
 TOL = 1e-4
 

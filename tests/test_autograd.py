@@ -21,8 +21,6 @@ from shiftconvnet.autograd import (
     hslice_pad,
     leaky_relu,
     maxpool2d,
-    mul,
-    sum_all,
     transposed_conv2d,
 )
 from shiftconvnet import autograd
@@ -33,6 +31,7 @@ from shiftconvnet.autograd import (
     _leaky_grad,
     _lower,
 )
+from scalar_ops import mul, sum_all
 
 GRAD_TOL = 1e-4
 
@@ -432,6 +431,36 @@ def test_maxpool_routes_each_window_to_its_argmax():
     np.testing.assert_array_equal(got.reshape(-1, 4), want)
 
 
+def _window_scatter(g, x):
+    """The gradient a maxpool of x sends back for g, built as a zeroed
+    (..., 4) window array that takes g at each window's first maximum."""
+    win = x.reshape(*x.shape[:2], x.shape[2] // 2, 2, -1, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(*g.shape, 4)
+    dwin = np.zeros(win.shape, g.dtype)
+    np.put_along_axis(dwin, np.argmax(win, axis=-1)[..., None], g[..., None], axis=-1)
+    return dwin.reshape(*g.shape, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_backward_writes_the_window_scatter_bit_for_bit(dtype):
+    # x's gradient takes g in its phase views: copied the first time (a
+    # -0.0 stays -0.0, +0.0 elsewhere), added to later contributions
+    x = rand((2, 3, 6, 8), seed=18, dtype=dtype)
+    g1, g2 = (rand((2, 3, 3, 4), seed=s, dtype=dtype) for s in (19, 20))
+    g1[0, 0, 0, :2] = -0.0
+    for conv_input in (False, True):  # a conv output's gradient sits in its layout
+        xt = Tensor(x, requires_grad=True)
+        h = (conv2d(xt, Tensor(np.eye(3, dtype=dtype).reshape(3, 3, 1, 1)))
+             if conv_input else xt)
+        a, b = maxpool2d(h), maxpool2d(h)
+        a._backward(g1)
+        first = np.array(h.grad)
+        b._backward(g2)
+        want = _window_scatter(g1, x)
+        assert first.tobytes() == want.tobytes()
+        assert h.grad.tobytes() == (want + _window_scatter(g2, x)).tobytes()
+
+
 def test_maxpool_tie_joint_direction_matches_fd():
     # Perturbing both tied entries together keeps the function smooth; the
     # central difference along that direction must equal the summed
@@ -754,7 +783,7 @@ def test_add_of_many_is_one_node_equal_to_chained_adds(count):
         ts = [Tensor(p.copy(), requires_grad=True) for p in parts]
         if fused:
             out = add(*ts)
-            assert set(map(id, out._parents)) == set(map(id, ts))
+            assert set(map(id, out._parents)) == {id(t._record) for t in ts}
         else:
             out = ts[0]
             for t in ts[1:]:
@@ -791,16 +820,29 @@ def _conv_chain():
     w2 = Tensor(rand((1, 2, 3, 3), seed=35), requires_grad=True)
     h1 = conv2d(x, w1, padding=1)
     loss = sum_all(conv2d(h1, w2, padding=1))
-    return loss, weakref.ref(h1), (x, w1, w2)
+    # the second conv is chained: its backward reads h1's born-padded buffer
+    return loss, weakref.ref(h1.data.base), (x, w1, w2)
 
 
 def test_backward_releases_the_graph_as_it_goes():
     loss, h1, leaves = _conv_chain()
     assert h1() is not None
     backward(loss)
-    assert h1() is None  # nothing but the graph held the intermediate
+    assert h1() is None  # nothing but the graph held the intermediate's buffer
     assert all(t.grad is not None for t in leaves)
     assert loss._parents == () and loss.grad is None
+
+
+def test_a_record_reads_its_value_only_while_the_value_lives():
+    x = Tensor(rand((1, 2, 4, 4), seed=39), requires_grad=True)
+    y = maxpool2d(x)
+    record = y._record
+    assert record.data is y.data and record._parents == (x._record,)
+    assert (record.shape, record.dtype) == (y.shape, y.dtype)
+    ref = weakref.ref(y.data)
+    del y  # maxpool's backward holds x's record and its argmax, not y
+    assert ref() is None and record.data.size == 0
+    assert Tensor(x.data)._record is None  # an untracked tensor has none
 
 
 def test_backward_over_a_released_graph_raises():

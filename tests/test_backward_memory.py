@@ -16,10 +16,12 @@ _spec.loader.exec_module(backward_memory)
 def test_tiny_step_reports_every_closure(capsys):
     assert backward_memory.main(["64", "128", "--config", "tiny"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    start = float(re.fullmatch(r"backward start: ([\d.]+) MB", lines[0])[1])
+    forward_peak = float(re.fullmatch(r"forward peak: ([\d.]+) MB", lines[0])[1])
+    start = float(re.fullmatch(r"backward start: ([\d.]+) MB", lines[1])[1])
+    assert forward_peak >= start
     # one (name, before, peak, after) row per closure, from the loss back
     # to the first feature conv
-    rows = [line.split() for line in lines[2:-1]]
+    rows = [line.split() for line in lines[3:-1]]
     names = [r[0] for r in rows]
     assert names[0] == "_stage_loss"
     for name in ("refine.c3", "refine.c2", "refine.c1", "refine.match", "add",

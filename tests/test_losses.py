@@ -10,8 +10,7 @@ from shiftconvnet.autograd import (
     Tensor,
     backward,
     grad_check,
-    mul,
-    sum_all,
+    record_of,
 )
 from shiftconvnet.losses import (
     LossConfig,
@@ -23,6 +22,7 @@ from shiftconvnet.losses import (
     valid_mask,
     weight_decay,
 )
+from scalar_ops import mul, sum_all
 
 GRAD_TOL = 1e-4
 
@@ -271,17 +271,17 @@ def test_stage_losses_are_one_node_equal_to_the_composed_loss(dtype):
     decay = _composed_decay(ws)
 
     out = loss1(p, gt, ws, cfg)
-    assert _ids(out._parents) == _ids([p] + ws)
+    assert _ids(out._parents) == _ids(map(record_of, [p] + ws))
     assert out.data.reshape(()) == sf * inv_f + decay * a1
     backward(out)
     np.testing.assert_array_equal(p.grad, gf * inv_f)
     for w in ws:
         np.testing.assert_array_equal(w.grad, (2 * a1) * w.data)
-    assert _ids(loss1(p, gt, ws, LossConfig(alpha1=0.0))._parents) == _ids([p])
+    assert _ids(loss1(p, gt, ws, LossConfig(alpha1=0.0))._parents) == _ids([record_of(p)])
 
     p.zero_grad()
     out = loss2(p, gt, p_s, gt_s, ws, cfg)
-    assert _ids(out._parents) == _ids([p, p_s] + ws)
+    assert _ids(out._parents) == _ids(map(record_of, [p, p_s] + ws))
     assert out.data.reshape(()) == sf * inv_f + ss * inv_s * a2 + decay * b2
     backward(out)
     np.testing.assert_array_equal(p.grad, gf * inv_f)

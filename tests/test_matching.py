@@ -11,8 +11,6 @@ from shiftconvnet.autograd import (
     backward,
     grad_check,
     hslice_pad,
-    mul,
-    sum_all,
 )
 from shiftconvnet.matching import (
     CONCAT_THEN_CONV,
@@ -25,6 +23,7 @@ from shiftconvnet.matching import (
     shift_conv_layer,
     warp_horizontal,
 )
+from scalar_ops import mul, sum_all
 
 GRAD_TOL = 1e-4
 

@@ -1,17 +1,20 @@
 """End-to-end network structure: shapes, branch isolation, and wiring."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from shiftconvnet import matching, network
 from shiftconvnet.autograd import (
     ContractViolation,
     Tensor,
     add,
     backward,
     grad_check,
-    mul,
-    sum_all,
 )
+from shiftconvnet.data import SynthConfig, gen_synthetic_pair, resize_nearest
+from shiftconvnet.losses import LossConfig, loss2
 from shiftconvnet.matching import CONCAT_THEN_CONV, ShiftConvConfig
 from shiftconvnet.network import (
     CORRELATION,
@@ -23,6 +26,7 @@ from shiftconvnet.network import (
     desk_config,
     tiny_config,
 )
+from scalar_ops import mul, sum_all
 
 
 def image(shape, seed=0, dtype=np.float32):
@@ -256,6 +260,59 @@ def test_every_parameter_receives_gradient():
     dead = [n for n, t in model.params.items()
             if t.grad is None or not np.any(t.grad)]
     assert dead == [], f"parameters with no gradient: {dead}"
+
+
+def _owner(t: Tensor) -> np.ndarray:
+    """The array that owns t's memory: a born-padded buffer, or data itself."""
+    return t.data if t.data.base is None else t.data.base
+
+
+def test_a_stage2_graph_keeps_only_the_values_a_backward_reads(monkeypatch):
+    # weakrefs to the buffers behind the inputs of the ops of interest
+    seen = {"add": [], "concat_channels": [], "maxpool2d": [], "conv2d": []}
+
+    def watch(module, name, inputs):
+        real = getattr(module, name)
+
+        def run(*args, **kwargs):
+            seen[name] += [weakref.ref(_owner(t)) for t in inputs(args)]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, run)
+
+    watch(matching, "add", lambda args: args)
+    watch(matching, "concat_channels", lambda args: args[0])
+    watch(network, "maxpool2d", lambda args: args[:1])
+    for module in (matching, network):
+        watch(module, "conv2d", lambda args: (
+            [args[0]] if isinstance(args[0], Tensor) else args[0]))
+
+    model = ShiftConvNet(tiny_config(), seed=0)
+    pair = gen_synthetic_pair(SynthConfig(width=128, height=64, seed=1))
+    left, right, gt = (a[None] for a in (pair.left, pair.right, pair.gt_disp))
+    out = model.forward(Tensor(left), Tensor(right), refine=True)
+    loss = loss2(out.refined_disp, gt, out.small_disp,
+                 resize_nearest(gt, 16, 32, is_disparity=True),
+                 [t for n, t in model.params.items() if n.endswith(".w")],
+                 LossConfig())
+
+    def alive(name):
+        return [ref() for ref in seen[name] if ref() is not None]
+
+    # the five auto-shift branches (add), the three cost-volume groups
+    # (concat_channels) and every maxpool input but the left tower's /2
+    # skip, which the decoder reads, are freed once the forward drops them
+    assert (len(seen["add"]), len(seen["concat_channels"])) == (5, 3)
+    assert alive("add") == [] and alive("concat_channels") == []
+    assert len(seen["maxpool2d"]) == 8
+    assert [id(a) for a in alive("maxpool2d")] == [id(_owner(out.feat_skips[1]))]
+    # every conv input stays: its weight gradient reads it
+    assert len(alive("conv2d")) == len(seen["conv2d"]) > 20
+
+    backward(loss)
+    assert all(t.grad is not None for t in model.params.values())
+    with pytest.raises(ContractViolation, match="consumed"):
+        backward(loss)
 
 
 def test_batch_forward_matches_single_sample():

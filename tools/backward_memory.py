@@ -9,13 +9,15 @@ The tool builds the seed-0 model of the configuration (desk by default),
 one synthetic pair of HEIGHT x WIDTH (384 x 768 by default; both multiples
 of 64) and runs one stage-2 step's forward and loss under `tracemalloc`,
 as `training.train_stage` does.  It then runs `backward` with every
-closure wrapped, and prints the traced memory when the backward starts
-(the recorded graph, the inputs and the model), then one row per closure:
-the traced memory before it runs, its peak, and the memory after it.  A
-closure is named after the one layer whose parameters it reads, else
-after the function that recorded it (the loss reads every weight).  The
-last line names the highest peak.  Figures are in MB (10^6 bytes) and
-count only allocations Python's tracer sees, numpy's arrays among them.
+closure wrapped.  It prints the forward's traced peak, then the traced
+memory when the backward starts (the recorded graph, the inputs and the
+model), then one row per closure: the traced memory before it runs, its
+peak, and the memory after it.  A closure is named after the one layer
+whose parameters it reads, else after the function that recorded it (the
+loss reads every weight).  The last line names the highest backward peak;
+a step's peak is the larger of the two peaks.  Figures are in MB (10^6
+bytes) and count only allocations Python's tracer sees, numpy's arrays
+among them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def _mb(nbytes: int) -> float:
 
 
 def _label(node, names: dict[int, str]) -> str:
+    # names maps the parameters' graph records, which node._parents holds
     layers = {names[id(p)].rsplit(".", 1)[0] for p in node._parents if id(p) in names}
     if len(layers) == 1:
         return layers.pop()
@@ -58,7 +61,8 @@ def _watched(closure, label: str, rows: list):
 
 
 def measure(config: str, height: int, width: int):
-    """(memory at backward start, [(label, before, peak, after)]) in bytes."""
+    """(forward peak, memory at backward start, [(label, before, peak,
+    after)]) in bytes."""
     rows: list = []
     tracemalloc.start()
     try:
@@ -76,19 +80,20 @@ def measure(config: str, height: int, width: int):
         loss = losses.loss2(out.refined_disp, gt, out.small_disp, gt_small,
                             decay, training.TrainConfig().loss)
         del out
-        names = {id(t): name for name, t in model.params.items()}
-        for node in autograd._toposort(loss):
+        names = {id(t._record): name for name, t in model.params.items()}
+        for node in autograd._toposort(loss._record):
             if node._backward is not None:
                 node._backward = _watched(node._backward, _label(node, names), rows)
-        start = tracemalloc.get_traced_memory()[0]
+        start, forward_peak = tracemalloc.get_traced_memory()
         autograd.backward(loss)
     finally:
         tracemalloc.stop()
-    return start, rows
+    return forward_peak, start, rows
 
 
-def report(start: int, rows: list) -> str:
-    lines = [f"backward start: {_mb(start):.1f} MB",
+def report(forward_peak: int, start: int, rows: list) -> str:
+    lines = [f"forward peak: {_mb(forward_peak):.1f} MB",
+             f"backward start: {_mb(start):.1f} MB",
              f"{'closure':<24}{'before':>10}{'peak':>10}{'after':>10}"]
     for label, before, peak, after in rows:
         lines.append(f"{label:<24}{_mb(before):>10.1f}{_mb(peak):>10.1f}"
