@@ -31,8 +31,12 @@ backward reads, such as a summed branch, a concatenated group or a pooled
 map's input, is freed during the forward as soon as its caller drops it:
 the saved-tensor design of PyTorch's autograd (Paszke et al., arXiv
 1912.01703), which applies Chen et al.'s rule when the graph is recorded.
-An untracked tensor has no record, so a forward without gradients builds
-none.
+A conv closure applies it inside itself too.  It masks its gradient and
+lets go of the mask bits; takes the weight gradient, the last reader of
+the saved operand; drops that operand; and only then allocates the input
+gradient.  The two adjoints read the same masked gradient and nothing of
+each other, so the order changes no value.  An untracked tensor has no
+record, so a forward without gradients builds none.
 
 float32 is the working precision.  float64 inputs propagate through every
 op unchanged and exist for finite-difference gradient checking
@@ -687,7 +691,10 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
     on those operands; each of the inputs `xs` takes its own channel range
     of the input gradient, unless `input_grad` returns None, having stored
     it in the one input already.  The backward holds the parameters' and
-    inputs' records, not the tensors.
+    inputs' records, not the tensors.  `weight_grad` alone holds the saved
+    input arrays, so the backward takes the weight gradient first and then
+    drops `weight_grad`, freeing them before the input gradient is
+    allocated; the mask bits go once the mask has run.
     """
     parents = (*xs, w) if b is None else (*xs, w, b)
     inputs = [(record_of(x), x.shape[1]) for x in xs]
@@ -704,21 +711,23 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
         y[..., ow:] = 0
 
     def bwd(g):
+        nonlocal bits, weight_grad
         if bits is not None:
             _leaky_grad(g, bits, g)
+            bits = None
         dx_op, dw_op = operand(g)
         if br is not None and br.requires_grad:
             accumulate_grad(br, g.sum(axis=(0, 2, 3)).reshape(br.shape))
         del g
+        if wr.requires_grad:
+            accumulate_grad(wr, weight_grad(dw_op))
+        weight_grad = None  # frees the saved inputs before dx is allocated
         if any(x.requires_grad for x, _ in inputs):
             dx = input_grad(dx_op)
             lo = 0
             for x, c in inputs if dx is not None else ():  # None: already stored
                 accumulate_grad(x, dx[:, lo : lo + c])
                 lo += c
-            del dx  # freed before the weight gradient lowers the input
-        if wr.requires_grad:
-            accumulate_grad(wr, weight_grad(dw_op))
 
     return graph_out(y[..., :ow], parents, bwd)
 

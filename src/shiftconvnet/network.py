@@ -392,6 +392,7 @@ class ShiftConvNet:
                                 self._p("refine.match.b"))
         x = conv2d((match, coarse_disp), self._p("refine.c1.w"),
                    self._p("refine.c1.b"), padding=1, leaky=True)
+        del match  # refine.c1 is its only reader
         x = conv2d(x, self._p("refine.c2.w"),
                    self._p("refine.c2.b"), padding=1, leaky=True)
         return conv2d(x, self._p("refine.c3.w"), self._p("refine.c3.b"),

@@ -1179,6 +1179,68 @@ def test_a_closure_holds_the_only_reference_to_its_gradient():
     np.testing.assert_array_equal(x.grad, 2 * x.data)
 
 
+def _spy(monkeypatch, core: str, saved: list, w: Tensor) -> list:
+    """Wrap autograd's input-gradient `core`: each call records whether
+    every weakref in `saved` is dead and whether w's gradient is in."""
+    seen = []
+    run = getattr(autograd, core)
+
+    def spy(*args, **kw):
+        seen.append((all(r() is None for r in saved), w.grad is not None))
+        return run(*args, **kw)
+
+    monkeypatch.setattr(autograd, core, spy)
+    return seen
+
+
+def test_a_chain_conv_drops_its_input_buffer_before_the_input_gradient(monkeypatch):
+    x = Tensor(rand((1, 2, 5, 6), seed=108), requires_grad=True)
+    w1 = Tensor(rand((3, 2, 3, 3), seed=109), requires_grad=True)
+    w2 = Tensor(rand((2, 3, 3, 3), seed=110), requires_grad=True)
+    h = conv2d(x, w1, padding=1, leaky=True)
+    y = conv2d(h, w2, padding=1, leaky=True)
+    saved = [weakref.ref(h.data.base)]
+    del h  # y's closure now holds the only reference to h's buffer
+    assert saved[0]() is not None
+    seen = _spy(monkeypatch, "_conv_input_grad", saved, w2)
+    backward(sum_all(y))
+    # y's closure first: its weight gradient in, h's buffer gone; then h's
+    assert seen == [(True, True), (True, True)]
+
+
+def test_a_sequence_conv_drops_its_input_arrays_before_the_input_gradient(
+        monkeypatch):
+    xa = Tensor(rand((1, 2, 4, 6), seed=111), requires_grad=True)
+    xb = Tensor(rand((1, 1, 4, 6), seed=112), requires_grad=True)
+    w = Tensor(rand((2, 3, 3, 3), seed=113), requires_grad=True)
+    a, b = leaky_relu(xa), leaky_relu(xb)  # values only the conv reads
+    y = conv2d((a, b), w, padding=1)
+    saved = [weakref.ref(a.data), weakref.ref(b.data)]
+    del a, b
+    assert all(r() is not None for r in saved)
+    seen = _spy(monkeypatch, "_conv_input_grad", saved, w)
+    backward(sum_all(y))
+    assert seen == [(True, True)]
+    assert xa.grad is not None and xb.grad is not None
+
+
+def test_a_transposed_conv_drops_its_input_array_before_the_input_gradient(
+        monkeypatch):
+    x0 = Tensor(rand((1, 3, 3, 4), seed=114), requires_grad=True)
+    w = Tensor(rand((3, 2, 4, 4), seed=115), requires_grad=True)
+    b = Tensor(rand((1, 2, 1, 1), seed=116), requires_grad=True)
+    x = leaky_relu(x0)
+    y = transposed_conv2d(x, w, b, leaky=True)
+    saved = [weakref.ref(x.data)]
+    del x
+    assert saved[0]() is not None
+    # the transposed conv's input gradient is the conv forward core
+    seen = _spy(monkeypatch, "_conv_core", saved, w)
+    backward(sum_all(y))
+    assert seen == [(True, True)]
+    assert x0.grad is not None and b.grad is not None
+
+
 def test_elementwise_grad_checks():
     x0 = Tensor(rand((1, 1, 3, 3), seed=28))
     c = Tensor(rand((1, 1, 3, 3), seed=29))

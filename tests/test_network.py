@@ -26,6 +26,7 @@ from shiftconvnet.network import (
     desk_config,
     tiny_config,
 )
+from shiftconvnet.training import frozen_params
 from scalar_ops import mul, sum_all
 
 
@@ -313,6 +314,30 @@ def test_a_stage2_graph_keeps_only_the_values_a_backward_reads(monkeypatch):
     assert all(t.grad is not None for t in model.params.values())
     with pytest.raises(ContractViolation, match="consumed"):
         backward(loss)
+
+
+def test_a_no_grad_refine_frees_the_match_map_once_c1_has_read_it(monkeypatch):
+    model = ShiftConvNet(tiny_config(), seed=0)
+    maps, dead_at_c2 = [], []
+    real_shift, real_conv = network.auto_shift_conv, network.conv2d
+
+    def shift(*args, **kwargs):
+        out = real_shift(*args, **kwargs)
+        maps.append(weakref.ref(_owner(out)))
+        return out
+
+    def conv(x, w, *args, **kwargs):
+        if w is model.params["refine.c2.w"]:
+            dead_at_c2.append(maps[0]() is None)
+        return real_conv(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(network, "auto_shift_conv", shift)
+    monkeypatch.setattr(network, "conv2d", conv)
+    with frozen_params(model):  # no graph holds the map
+        out = model.forward(image((1, 1, 64, 128), seed=5),
+                            image((1, 1, 64, 128), seed=6), refine=True)
+    assert out.refined_disp is not None
+    assert len(maps) == 1 and dead_at_c2 == [True]
 
 
 def test_batch_forward_matches_single_sample():

@@ -12,12 +12,13 @@ as `training.train_stage` does.  It then runs `backward` with every
 closure wrapped.  It prints the forward's traced peak, then the traced
 memory when the backward starts (the recorded graph, the inputs and the
 model), then one row per closure: the traced memory before it runs, its
-peak, and the memory after it.  A closure is named after the one layer
-whose parameters it reads, else after the function that recorded it (the
-loss reads every weight).  The last line names the highest backward peak;
-a step's peak is the larger of the two peaks.  Figures are in MB (10^6
-bytes) and count only allocations Python's tracer sees, numpy's arrays
-among them.
+peak, and the memory after it, read once the closure and what only it
+held are released, as `backward` releases them.  A closure is named after
+the one layer whose parameters it reads, else after the function that
+recorded it (the loss reads every weight).  The last two lines name the
+highest backward peak and the step's peak, the larger of the forward's
+and the backward's.  Figures are in MB (10^6 bytes) and count only
+allocations Python's tracer sees, numpy's arrays among them.
 """
 
 from __future__ import annotations
@@ -47,13 +48,17 @@ def _label(node, names: dict[int, str]) -> str:
 
 
 def _watched(closure, label: str, rows: list):
+    held = [closure]
+
     def run(g):
         # hand the closure the gradient's only reference, as backward does
         box = [g]
         del g
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        closure(box.pop())
+        # nor does the wrapper keep the closure past its call, so `after`
+        # counts nothing that only the closure held: backward drops it next
+        held.pop()(box.pop())
         after, peak = tracemalloc.get_traced_memory()
         rows.append((label, before, peak, after))
 
@@ -100,6 +105,8 @@ def report(forward_peak: int, start: int, rows: list) -> str:
                      f"{_mb(after):>10.1f}")
     top = max(rows, key=lambda r: r[2])
     lines.append(f"backward peak: {_mb(top[2]):.1f} MB in {top[0]}")
+    step = max((forward_peak, "forward"), (top[2], top[0]))
+    lines.append(f"step peak: {_mb(step[0]):.1f} MB in {step[1]}")
     return "\n".join(lines)
 
 
