@@ -26,7 +26,9 @@ input's `data`, or a chained input's born-padded buffer), its weight's
 array and its leaky mask bits; a transposed conv its input's array;
 maxpool its argmax; `correlation_1d` its two inputs' arrays; the loss its
 masks, derivatives and decayed weights' arrays.  `add`, `concat_channels`,
-`hslice_pad` and `warp_horizontal` hold records alone.  So a value no
+`hslice_pad` and `warp_horizontal` hold records alone; `hslice_pads`'
+shifted views share one zero-extended copy of their input, which lives
+as long as a view or a consumer's saved operand does.  So a value no
 backward reads, such as a summed branch, a concatenated group or a pooled
 map's input, is freed during the forward as soon as its caller drops it:
 the saved-tensor design of PyTorch's autograd (Paszke et al., arXiv
@@ -64,8 +66,11 @@ whole output rows into one (C*kH*kW, rows*Wp) matrix (im2col,
 Chellapilla et al. 2006), so the block is one GEMM with a reduction of
 C*kH*kW; blocks hold at most `TAP_BLOCK_BYTES` per image, so the copy
 stays in cache and out of peak memory (as in MEC, Cho and Brand, arXiv
-1706.06873).  Otherwise each tap is one GEMM straight on its run, and kH*kW
-partial products are added up.  The rule is measured.  Both paths were
+1706.06873).  Otherwise each tap is one GEMM straight on its run, and the
+kH*kW partial products are added up a block of whole output rows at a
+time, at most `TAP_SUM_BYTES` per image, into that block of the output:
+one block-sized temporary takes each product, so no full-size one is built
+beside the output.  The rule is measured.  Both paths were
 timed on every conv shape of the desk model (batch 1, a 2-core Xeon,
 OpenBLAS 0.3.31, 2 threads).  Merging wins where the input side is thin,
 as in the forward of a 1->8 conv at 384x768 (1.9 ms against 14.4 per tap)
@@ -145,8 +150,10 @@ It reads that buffer as its operand, in the forward and in the weight
 gradient, and lowers nothing.  When its input has no gradient yet, it runs
 the input gradient straight into the input's layout grid and zeroes the
 wrap columns, so neither the padded-width result nor a cropped copy of it
-is built.  Once such an output holds at least `STRIDED_SUM_BYTES` per
-image, the per-tap core adds its partial products straight into it.
+is built.  Such an output's channel planes are strided, so the per-tap
+core adds its partial products straight into a block of it only once the
+block holds at least `STRIDED_SUM_BYTES` per image; a smaller block's
+partial sums stay in a contiguous temporary until the last one.
 """
 
 from __future__ import annotations
@@ -495,9 +502,15 @@ def _tap_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 # 1 MB), large enough that each GEMM amortises its call
 TAP_BLOCK_BYTES = 1 << 18
 
-# bytes of one image's output from which the per-tap path adds its partial
-# products straight into a strided `out`; below, an add over strided planes
-# costs up to 3x more than over a contiguous temporary
+# bytes of one image's block of output rows, over which the per-tap path
+# sums its taps: 4 MiB kept every shape of a 384x768 step bit-identical to
+# one full-size block, where 256 KiB and 1 MiB did not for the 1-channel
+# heads
+TAP_SUM_BYTES = 1 << 22
+
+# bytes of one image's output block from which the per-tap path adds its
+# partial products straight into a strided block of `out`; below, an add
+# over strided planes costs up to 3x more than over a contiguous temporary
 STRIDED_SUM_BYTES = 1 << 17
 
 
@@ -542,17 +555,26 @@ def _conv_flat(xp: np.ndarray, w: np.ndarray, oh: int, wp: int,
         for lo, hi, col in _tap_columns(xp, kh, kw, wp, oh):
             _tap_product(w2, col, acc[:, :, lo:hi])
     else:
-        taps = [(i, j) for i in range(kh) for j in range(kw)]
-        # below STRIDED_SUM_BYTES the partial sums stay contiguous and only
-        # the last one goes to a strided out
-        direct = acc.flags.c_contiguous or oc * m * acc.itemsize >= STRIDED_SUM_BYTES
-        part = acc if direct else np.empty(acc.shape, acc.dtype)
-        _tap_product(w[:, :, 0, 0], xp[:, :, :m], acc if len(taps) == 1 else part)
-        prod = np.empty(acc.shape, acc.dtype)
-        for i, j in taps[1:]:
-            off = i * wp + j
-            np.add(part, _tap_product(w[:, :, i, j], xp[:, :, off : off + m], prod),
-                   out=acc if (i, j) == taps[-1] else part)
+        taps = [(i * wp + j, w[:, :, i, j]) for i in range(kh) for j in range(kw)]
+        rows = max(1, min(oh, TAP_SUM_BYTES // (oc * wp * acc.itemsize)))
+        # block-sized temporaries, each block's a contiguous head of them
+        size = n * oc * rows * wp
+        prods, parts = np.empty(size, acc.dtype), None
+        for r in range(0, oh, rows):
+            lo, hi = r * wp, min(r + rows, oh) * wp
+            blk = acc[:, :, lo:hi]
+            prod = prods[: blk.size].reshape(blk.shape)
+            # below STRIDED_SUM_BYTES a strided block's partial sums stay
+            # contiguous and only the last one goes to the block
+            part = blk
+            if not (blk.flags.c_contiguous
+                    or oc * (hi - lo) * acc.itemsize >= STRIDED_SUM_BYTES):
+                parts = np.empty(size, acc.dtype) if parts is None else parts
+                part = parts[: blk.size].reshape(blk.shape)
+            _tap_product(taps[0][1], xp[:, :, lo:hi], blk if len(taps) == 1 else part)
+            for off, wt in taps[1:]:
+                np.add(part, _tap_product(wt, xp[:, :, lo + off : hi + off], prod),
+                       out=blk if off == taps[-1][0] else part)
     return acc.reshape(n, oc, oh, wp)
 
 
@@ -977,31 +999,49 @@ def hslice_pad(x: Tensor, displacement: int) -> Tensor:
 
     d >= 0 slices from column d leftward (out[..., x] = in[..., x+d]) and
     pads zeros on the right; d < 0 moves content right and pads zeros on
-    the left.  Output shape equals input shape.
+    the left.  Output shape equals input shape.  The one-displacement case
+    of `hslice_pads`: its data is a view of a zero-extended copy of x.
     """
-    d = int(displacement)
-    n, c, h, w = x.shape
-    if abs(d) >= w:
-        raise ContractViolation(f"|displacement| {abs(d)} must be < width {w}")
-    out = np.zeros_like(x.data)
-    if d >= 0:
-        out[..., : w - d] = x.data[..., d:]
-    else:
-        out[..., -d:] = x.data[..., : w + d]
+    return hslice_pads(x, (displacement,))[0]
 
+
+def hslice_pads(x: Tensor, displacements: Sequence[int]) -> list[Tensor]:
+    """`hslice_pad(x, d)` for every d of `displacements`, in order, as views
+    of one zero-extended copy of x.
+
+    The copy holds x between max(0, -min d) zero columns on the left and
+    max(0, max d) on the right, so each shift is a W-wide window of it and
+    no shift is a copy of its own.  Each view is its own graph node with
+    `hslice_pad`'s backward, which holds x's record alone: the copy lives
+    as long as a view or an array of one does (a consumer's saved
+    operand), not as long as the graph.  |d| >= W raises.
+    """
+    ds = [int(d) for d in displacements]
+    n, c, h, w = x.shape
+    for d in ds:
+        if abs(d) >= w:
+            raise ContractViolation(f"|displacement| {abs(d)} must be < width {w}")
+    if not ds:
+        return []
+    left, right = max(0, -min(ds)), max(0, max(ds))
+    ext = np.zeros((n, c, h, left + w + right), x.dtype)
+    ext[..., left : left + w] = x.data
     xr = record_of(x)
 
-    def bwd(g):
-        if not xr.requires_grad:
-            return
-        dx = np.zeros(xr.shape, xr.dtype)
-        if d >= 0:
-            dx[..., d:] = g[..., : w - d]
-        else:
-            dx[..., : w + d] = g[..., -d:]
-        accumulate_grad(xr, dx)
+    def shifted(d: int) -> Tensor:
+        def bwd(g):
+            if not xr.requires_grad:
+                return
+            dx = np.zeros(xr.shape, xr.dtype)
+            if d >= 0:
+                dx[..., d:] = g[..., : w - d]
+            else:
+                dx[..., : w + d] = g[..., -d:]
+            accumulate_grad(xr, dx)
 
-    return graph_out(out, (x,), bwd)
+        return graph_out(ext[..., left + d : left + d + w], (x,), bwd)
+
+    return [shifted(d) for d in ds]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ disparity d >= 0 means left[x] corresponds to right[x - d].  Slicing the
 left map from start column d (left-shift with right-side zero padding)
 therefore lines it up with the right map, and the mirrored right-map slice
 (right-shift with left-side zero padding) lines up with the left map.
+`_shift_pair` is that one alignment rule.  A sweep's shifts of a map are
+views of one zero-extended copy of it, so the graph keeps two such copies,
+not one shifted copy per displacement.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .autograd import (
     concat_channels,
     conv2d,
     graph_out,
-    hslice_pad,
+    hslice_pads,
     record_of,
 )
 
@@ -88,16 +91,21 @@ class ShiftConvConfig:
         return (self.clue_filters * s, 2 * feat_channels * s, 3, 3)
 
 
-def _shift_pair(left: Tensor, right: Tensor, d: int) -> tuple[Tensor, Tensor]:
-    """(shifted, other): the pair aligned at displacement d.
+def _shift_pair(left: Tensor, right: Tensor,
+                displacements) -> list[tuple[Tensor, Tensor]]:
+    """(shifted, other) for each displacement d, in order: the pair
+    aligned at d.
 
     d >= 0 slices the left map from column d (zeros on the right) and pairs
     it with the right map; d < 0 slices the right map with left-side zero
-    padding and pairs it with the left map.
+    padding and pairs it with the left map.  Each map's shifts are views of
+    one zero-extended copy of it (`hslice_pads`), so a sweep copies each
+    map once.
     """
-    if d >= 0:
-        return hslice_pad(left, d), right
-    return hslice_pad(right, d), left
+    ds = [int(d) for d in displacements]
+    lefts = iter(hslice_pads(left, [d for d in ds if d >= 0]))
+    rights = iter(hslice_pads(right, [d for d in ds if d < 0]))
+    return [(next(lefts), right) if d >= 0 else (next(rights), left) for d in ds]
 
 
 def shift_concat(left: Tensor, right: Tensor, displacement: int) -> Tensor:
@@ -112,7 +120,7 @@ def shift_concat(left: Tensor, right: Tensor, displacement: int) -> Tensor:
             f"shift_concat shape mismatch: {tuple(left.shape)} vs "
             f"{tuple(right.shape)}"
         )
-    return concat_channels(_shift_pair(left, right, int(displacement)))
+    return concat_channels(_shift_pair(left, right, (displacement,))[0])
 
 
 def shift_conv_layer(left: Tensor, right: Tensor, cfg: ShiftConvConfig,
@@ -125,7 +133,8 @@ def shift_conv_layer(left: Tensor, right: Tensor, cfg: ShiftConvConfig,
     activation over all S aligned pairs.  Either way the output is
     (N, F*S, H, W) and channel group k (channels k*F..(k+1)*F-1) belongs
     to scale index k of `cfg.scales()`.  The pairs are `conv2d` input
-    sequences, so their channel concatenation is never built.
+    sequences, so their channel concatenation is never built, and their
+    shifted maps are views of one zero-extended copy per map.
     """
     if left.shape != right.shape:
         raise ContractViolation(
@@ -144,13 +153,11 @@ def shift_conv_layer(left: Tensor, right: Tensor, cfg: ShiftConvConfig,
         )
 
     if cfg.variant == CONV_THEN_CONCAT:
-        groups = [
-            conv2d(_shift_pair(left, right, d), w, b, padding=1, leaky=True)
-            for d in cfg.scales()
-        ]
+        groups = [conv2d(pair, w, b, padding=1, leaky=True)
+                  for pair in _shift_pair(left, right, cfg.scales())]
         return concat_channels(groups)
 
-    parts = [t for d in cfg.scales() for t in _shift_pair(left, right, d)]
+    parts = [t for pair in _shift_pair(left, right, cfg.scales()) for t in pair]
     return conv2d(parts, w, b, padding=1, leaky=True)
 
 

@@ -19,6 +19,7 @@ from shiftconvnet.autograd import (
     grad_check,
     graph_out,
     hslice_pad,
+    hslice_pads,
     leaky_relu,
     maxpool2d,
     transposed_conv2d,
@@ -27,6 +28,8 @@ from shiftconvnet import autograd
 from shiftconvnet.autograd import (
     LEAKY_SLOPE,
     TAP_BLOCK_BYTES,
+    _conv_flat,
+    _conv_input_grad,
     _dy_layout,
     _leaky_grad,
     _lower,
@@ -753,6 +756,55 @@ def test_hslice_pad_grad_check():
                                                      hslice_pad(t, d))), x0) < GRAD_TOL
 
 
+def _shifted_ref(x: np.ndarray, d: int) -> np.ndarray:
+    # a fresh zero-filled copy per displacement
+    out = np.zeros_like(x)
+    w = x.shape[3]
+    if d >= 0:
+        out[..., : w - d] = x[..., d:]
+    else:
+        out[..., -d:] = x[..., : w + d]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_hslice_pads_views_equal_hslice_pad_bit_for_bit(dtype):
+    x = rand((2, 3, 4, 9), seed=28, dtype=dtype)
+    x[0, 0, 0, :3] = (-0.0, np.inf, np.nan)
+    # mixed signs, d = 0 twice, |d| = W - 1 both ways
+    ds = [3, -2, 0, 8, -8, 1, 0, -1]
+    views = hslice_pads(Tensor(x), ds)
+    assert len(views) == len(ds)
+    for d, v in zip(ds, views):
+        for want in (_shifted_ref(x, d), hslice_pad(Tensor(x), d).data):
+            assert (v.dtype, v.shape) == (want.dtype, want.shape)
+            assert np.ascontiguousarray(v.data).tobytes() == want.tobytes()
+    # one zero-extended copy behind them all: W + 8 + 8 columns
+    base = views[0].data.base
+    assert all(v.data.base is base for v in views)
+    assert base.shape == (2, 3, 4, 9 + 16)
+    assert hslice_pads(Tensor(x), []) == []
+
+
+def test_hslice_pads_grad_check():
+    x0 = Tensor(rand((1, 2, 3, 6), seed=29))
+    ds = (-5, -2, 0, 0, 3, 5)
+    probes = [Tensor(rand(x0.shape, seed=30 + i)) for i in range(len(ds))]
+
+    def fn(t):
+        return add(*(sum_all(mul(mul(v, v), p))
+                     for v, p in zip(hslice_pads(t, ds), probes)))
+
+    assert grad_check(fn, x0) < GRAD_TOL
+
+
+def test_hslice_pads_displacement_bound():
+    x = Tensor(rand((1, 1, 2, 4)))
+    for ds in ([1, 4], [-4, 0], [3, -3, 5]):
+        with pytest.raises(ContractViolation):
+            hslice_pads(x, ds)
+
+
 # ---------------------------------------------------------------------------
 # elementwise, reductions, graph behavior
 # ---------------------------------------------------------------------------
@@ -1095,6 +1147,66 @@ def test_fan_out_is_bit_identical_to_one_of_fresh_copies(
         monkeypatch.setattr(autograd, "STRIDED_SUM_BYTES", 0)
     _assert_bit_identical([_fan_out(between, dtype, c, conv_last)
                            for between in (lambda t: t, _copied)])
+
+
+# the per-tap core's two uses on an 11-row map 13 wide (15 padded): the
+# forward of an 8 -> 3 conv and the input gradient of a 3 -> 8 one, each a
+# core with 8 input and 3 output channels (per-tap, as 8 >= 2 * 3)
+def _per_tap_runs(dtype, padded):
+    n, h, wd, wp = 2, 11, 13, 15
+    x = rand((n, 8, h, wd), seed=100, dtype=dtype)
+    w = rand((3, 8, 3, 3), seed=101, dtype=dtype)
+    g = rand((n, 8, h, wd), seed=102, dtype=dtype)
+    wt = rand((8, 3, 3, 3), seed=103, dtype=dtype)
+
+    def out():  # contiguous, or strided planes as a born-padded output's
+        if not padded:
+            return None
+        buf = np.full((n, 3, (h + 2) * wp + 2), np.nan, dtype)
+        return buf[:, :, wp + 1 : (h + 1) * wp + 1]
+
+    y = _conv_flat(_lower((x,), 1, 1, (3, 3)), w, h, wp, out())
+    buf, _, dy = _dy_layout(g.shape, dtype, (h, wd), (3, 3), 1, 1)
+    dy[...] = g
+    dx = _conv_input_grad(buf, wt, 1, 1, (h, wd), out())
+    return [np.ascontiguousarray(a).tobytes() for a in (y, dx)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("strided_sum", [False, True])
+def test_per_tap_row_blocks_are_bit_identical_to_one_block(
+        monkeypatch, dtype, padded, strided_sum):
+    # strided_sum: every block's partial sums go straight into the output
+    if strided_sum:
+        monkeypatch.setattr(autograd, "STRIDED_SUM_BYTES", 0)
+    one = _per_tap_runs(dtype, padded)
+    # 4 rows a block: blocks of 4, 4 and 3 rows
+    monkeypatch.setattr(autograd, "TAP_SUM_BYTES", 3 * 15 * np.dtype(dtype).itemsize * 4)
+    assert _per_tap_runs(dtype, padded) == one
+
+
+def test_a_per_tap_input_gradient_peaks_at_most_two_blocks_above_its_output(
+        monkeypatch):
+    # a 4 -> 16 conv's input gradient is a per-tap core, 16 -> 4
+    h, wd, wp = 128, 256, 258
+    wt = rand((16, 4, 3, 3), seed=104, dtype=np.float32)
+    buf, _, dy = _dy_layout((1, 16, h, wd), np.float32, (h, wd), (3, 3), 1, 1)
+    dy[...] = rand(dy.shape, seed=105, dtype=np.float32)
+    monkeypatch.setattr(autograd, "TAP_SUM_BYTES", 1 << 16)
+    block = 4 * (((1 << 16) // (4 * wp * 4)) * wp) * 4  # 15 rows
+    # beside the blocks, numpy's buffer for an add into strided planes (at
+    # most 8192 items) and small arrays
+    slack = 8192 * 4 + 16384
+    _conv_input_grad(buf, wt, 1, 1, (h, wd))  # numpy's first-call caches
+    dx, _, peak = _traced(lambda: _conv_input_grad(buf, wt, 1, 1, (h, wd)))
+    # the product and the partial sums' temporaries: a block each (a
+    # full-size product temporary would make it twice the output)
+    assert peak <= dx.nbytes + 2 * block + slack
+    # into a given output, the blocks' temporaries alone
+    grid = _dy_layout((1, 4, h, wd), np.float32, (h, wd), (3, 3), 1, 1)[1]
+    assert _traced(lambda: _conv_input_grad(buf, wt, 1, 1, (h, wd), grid))[2] <= (
+        2 * block + slack)
 
 
 def test_a_chain_conv_stores_its_input_gradient_in_the_input_layout():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,10 @@ _spec.loader.exec_module(backward_memory)
 def test_tiny_step_reports_every_closure(capsys):
     assert backward_memory.main(["64", "128", "--config", "tiny"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    forward_peak = float(re.fullmatch(r"forward peak: ([\d.]+) MB", lines[0])[1])
+    first = re.fullmatch(r"forward peak: ([\d.]+) MB in (\S+)", lines[0])
+    forward_peak = float(first[1])
+    # where the forward peaks: a network stage, the glue between, or the loss
+    assert first[2] in (*backward_memory.STAGES, "setup", "forward", "loss")
     start = float(re.fullmatch(r"backward start: ([\d.]+) MB", lines[1])[1])
     assert forward_peak >= start
     # one (name, before, peak, after) row per closure, from the loss back
@@ -48,6 +52,32 @@ def test_after_is_read_once_the_closure_is_released():
     # links (a stage loss closure still held keeps 71 kB)
     gaps = [done[3] - nxt[1] for done, nxt in zip(rows, rows[1:])]
     assert max(map(abs, gaps)) < 4096
+
+
+def test_the_forward_peak_is_named_after_the_stretch_that_reached_it():
+    stretches = backward_memory._Stretches("setup")
+
+    def decode():
+        bytearray(2_000_000)
+
+    def refine():
+        bytearray(1_000_000)
+
+    def encode():  # back in encode once refine returns
+        stretches.wrap(refine)()
+        bytearray(3_000_000)
+
+    tracemalloc.start()
+    try:
+        for stage in (decode, encode):
+            stretches.wrap(stage)()
+        stretches.enter("backward")
+    finally:
+        tracemalloc.stop()
+    peak, where = stretches.top()
+    assert where == "encode" and 3_000_000 <= peak < 3_100_000
+    assert 1_000_000 <= stretches.peaks["refine"] < 1_100_000
+    assert stretches.peaks["setup"] < 100_000
 
 
 @pytest.mark.parametrize("size", [["64"], ["64", "100"], ["0", "128"]])

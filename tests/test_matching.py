@@ -1,5 +1,7 @@
 """Cost-volume operators: displacement sweeps, correlation, guided warps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -266,6 +268,33 @@ def test_shift_conv_layer_grad_check(variant):
         shift_conv_layer(left, t, cfg, w0, b0)), right) < GRAD_TOL
     assert grad_check(lambda t: sum_all(
         shift_conv_layer(left, right, cfg, t, b0)), w0) < GRAD_TOL
+
+
+@pytest.mark.parametrize("variant", [CONV_THEN_CONCAT, CONCAT_THEN_CONV])
+def test_shift_conv_layer_graph_keeps_two_extended_maps(variant):
+    # the convs' saved operands are views of one zero-extended copy of each
+    # map, not one shifted copy per displacement (9 copies of 131 kB here)
+    cfg = ShiftConvConfig(maxdisp=4, clue_filters=2, variant=variant)
+    n, c, h, w = 1, 8, 32, 64
+    left, right = (Tensor(rand((n, c, h, w), seed=s), requires_grad=True)
+                   for s in (12, 13))
+    wt = Tensor(rand(cfg.weight_shape(c), seed=14), requires_grad=True)
+    b = Tensor(rand((1, wt.shape[0], 1, 1), seed=15), requires_grad=True)
+    shift_conv_layer(left, right, cfg, wt, b)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = shift_conv_layer(left, right, cfg, wt, b)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    s = cfg.num_scales
+    output = (out.data if out.data.base is None else out.data.base).nbytes
+    bits = n * cfg.clue_filters * s * h * -(-(w + 2) // 8)  # padded-width rows
+    extended = 2 * n * c * h * (w + cfg.maxdisp) * out.data.itemsize
+    records = 2048 * (2 * s + 1)  # views, convs and the concatenation
+    assert kept <= output + bits + extended + records
+    assert records < n * c * h * w * out.data.itemsize
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,21 @@ Run from the repository root:
 The tool builds the seed-0 model of the configuration (desk by default),
 one synthetic pair of HEIGHT x WIDTH (384 x 768 by default; both multiples
 of 64) and runs one stage-2 step's forward and loss under `tracemalloc`,
-as `training.train_stage` does.  It then runs `backward` with every
-closure wrapped.  It prints the forward's traced peak, then the traced
-memory when the backward starts (the recorded graph, the inputs and the
-model), then one row per closure: the traced memory before it runs, its
-peak, and the memory after it, read once the closure and what only it
-held are released, as `backward` releases them.  A closure is named after
-the one layer whose parameters it reads, else after the function that
-recorded it (the loss reads every weight).  The last two lines name the
-highest backward peak and the step's peak, the larger of the forward's
-and the backward's.  Figures are in MB (10^6 bytes) and count only
-allocations Python's tracer sees, numpy's arrays among them.
+as `training.train_stage` does, with the model's five network stages
+wrapped to read the traced peak of each stretch of the forward.  It then
+runs `backward` with every closure wrapped.  It prints the forward's
+traced peak and where it falls (a network stage; `forward`, the glue
+between them; `setup`, building the model and the pair; or `loss`), then
+the traced memory when the backward starts (the recorded graph, the
+inputs and the model), then one row per closure: the traced memory
+before it runs, its peak, and the memory after it, read once the closure
+and what only it held are released, as `backward` releases them.  A
+closure is named after the one layer whose parameters it reads, else
+after the function that recorded it (the loss reads every weight).  The
+last two lines name the highest backward peak and the step's peak, the
+larger of the forward's and the backward's.  Figures are in MB (10^6
+bytes) and count only allocations Python's tracer sees, numpy's arrays
+among them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from shiftconvnet import autograd, data, losses, network, training  # noqa: E402
 
 CONFIGS = {"desk": network.desk_config, "tiny": network.tiny_config}
 PAIR_SEED = 1
+STAGES = ("feature_extract", "build_cost_volume", "encode", "decode", "refine")
 
 
 def _mb(nbytes: int) -> float:
@@ -65,11 +70,43 @@ def _watched(closure, label: str, rows: list):
     return run
 
 
+class _Stretches:
+    """The traced peak of each labelled stretch of the forward."""
+
+    def __init__(self, label: str):
+        self.label, self.peaks = label, {}
+
+    def enter(self, label: str):
+        # the peak since the last boundary belongs to the stretch that ends
+        peak = tracemalloc.get_traced_memory()[1]
+        self.peaks[self.label] = max(self.peaks.get(self.label, 0), peak)
+        tracemalloc.reset_peak()
+        self.label = label
+
+    def wrap(self, stage):
+        def run(*args, **kwargs):
+            outer = self.label
+            self.enter(stage.__name__)
+            try:
+                return stage(*args, **kwargs)
+            finally:
+                self.enter(outer)
+
+        return run
+
+    def top(self) -> tuple[int, str]:
+        """(peak, label) of the highest stretch, the first on a tie: the
+        peak of them all."""
+        label, peak = max(self.peaks.items(), key=lambda item: item[1])
+        return peak, label
+
+
 def measure(config: str, height: int, width: int):
-    """(forward peak, memory at backward start, [(label, before, peak,
-    after)]) in bytes."""
+    """((forward peak, where it falls), memory at backward start,
+    [(label, before, peak, after)]), sizes in bytes."""
     rows: list = []
     tracemalloc.start()
+    stretches = _Stretches("setup")
     try:
         model = network.ShiftConvNet(CONFIGS[config](), seed=0)
         pair = data.gen_synthetic_pair(data.SynthConfig(width=width, height=height,
@@ -80,8 +117,12 @@ def measure(config: str, height: int, width: int):
         scale = model.config.small_map_scale
         gt_small = data.resize_nearest(gt, height // scale, width // scale,
                                        is_disparity=True)
+        for stage in STAGES:
+            setattr(model, stage, stretches.wrap(getattr(model, stage)))
+        stretches.enter("forward")
         out = model.forward(autograd.Tensor(left), autograd.Tensor(right),
                             refine=True)
+        stretches.enter("loss")
         loss = losses.loss2(out.refined_disp, gt, out.small_disp, gt_small,
                             decay, training.TrainConfig().loss)
         del out
@@ -89,15 +130,17 @@ def measure(config: str, height: int, width: int):
         for node in autograd._toposort(loss._record):
             if node._backward is not None:
                 node._backward = _watched(node._backward, _label(node, names), rows)
-        start, forward_peak = tracemalloc.get_traced_memory()
+        stretches.enter("backward")
+        start = tracemalloc.get_traced_memory()[0]
         autograd.backward(loss)
     finally:
         tracemalloc.stop()
-    return forward_peak, start, rows
+    return stretches.top(), start, rows
 
 
-def report(forward_peak: int, start: int, rows: list) -> str:
-    lines = [f"forward peak: {_mb(forward_peak):.1f} MB",
+def report(forward: tuple[int, str], start: int, rows: list) -> str:
+    forward_peak, where = forward
+    lines = [f"forward peak: {_mb(forward_peak):.1f} MB in {where}",
              f"backward start: {_mb(start):.1f} MB",
              f"{'closure':<24}{'before':>10}{'peak':>10}{'after':>10}"]
     for label, before, peak, after in rows:
