@@ -103,14 +103,17 @@ result in place, a block of channel planes at a time through one reused
 temporary.  The values are those of `leaky_relu(conv(...))`, bit for
 bit, but the graph keeps one node instead of two and, instead of the float
 pre-activation (Rota Bulo et al., arXiv 1712.02616), its sign mask y >= 0
-packed at one bit per element of each padded-width row (Gist's binarized
-mask, Jain et al., ISCA 2018).  The mask cannot be recomputed from the
-output: a negative subnormal y leaves -0.0, as y = -0.0 does, yet the
-derivatives are 0.1 and 1.  The backward multiplies the gradient, in
-place, by 1 or 0.1 as the bit says, a block of channel planes at a time;
-that equals the select of g and 0.1*g bit for bit, because g*1 = g.  The
-factor's bit pattern is bit*(bits(1) - bits(0.1)) + bits(0.1), so no
-table is gathered.
+packed at one bit per element of each flat channel plane, padded-width
+rows and all (Gist's binarized mask, Jain et al., ISCA 2018).  The mask
+cannot be recomputed from the output: a negative subnormal y leaves -0.0,
+as y = -0.0 does, yet the derivatives are 0.1 and 1.  The backward
+multiplies the gradient, in place, by 1 or 0.1 as the bit says, a block
+of channel planes at a time; that equals the select of g and 0.1*g bit
+for bit, because g*1 = g.  The factor's bit pattern is bit*(bits(1) -
+bits(0.1)) + bits(0.1), so no table is gathered.  A conv2d output's
+gradient is masked over the flat planes of its layout's grid (below),
+whose wrap columns are +0 and stay +0; any other gradient unpacks the
+same bits and crops them to its rows.
 
 Every convolution adjoint reads one layout of the output gradient,
 `_dy_layout`.  Take the stride-1 core behind a conv: its input grid is Wp
@@ -644,10 +647,10 @@ def _check_bias(b: Tensor | None, channels: int, op: str):
 LEAKY_SLOPE = 0.1
 
 
-def _leaky_planes(flat: np.ndarray, rw: int, keep_bits: bool):
+def _leaky_planes(flat: np.ndarray, keep_bits: bool):
     """leaky in place on flat (N, C, M) channel planes, each one contiguous
-    run of rows rw wide.  Returns the mask y >= 0 packed along each row
-    (see `_leaky_grad`) when keep_bits, else None.
+    run.  Returns the mask y >= 0 packed along each plane, (N, C,
+    ceil(M/8)) bytes (see `_leaky_grad`), when keep_bits, else None.
 
     A block of channel planes (at most `TAP_BLOCK_BYTES`, or one plane) at
     a time, through one reused temporary, so no full-size one is built.
@@ -656,22 +659,26 @@ def _leaky_planes(flat: np.ndarray, rw: int, keep_bits: bool):
     step = max(1, TAP_BLOCK_BYTES // (m * flat.itemsize))
     slope = flat.dtype.type(LEAKY_SLOPE)
     tmp = np.empty((min(step, c), m), flat.dtype)
-    bits = np.empty((n, c, m // rw, -(-rw // 8)), np.uint8) if keep_bits else None
+    bits = np.empty((n, c, -(-m // 8)), np.uint8) if keep_bits else None
     for i in range(n):
         for lo in range(0, c, step):
             blk = flat[i, lo : lo + step]
             if bits is not None:
-                bits[i, lo : lo + step] = np.packbits(
-                    (blk >= 0).reshape(len(blk), -1, rw), axis=-1)
+                bits[i, lo : lo + step] = np.packbits(blk >= 0, axis=-1)
             # max(y, slope*y) selects y exactly when y >= 0, because 0 <= slope <= 1
             np.maximum(blk, np.multiply(blk, slope, out=tmp[: len(blk)]), out=blk)
     return bits
 
 
-def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray,
+                rw: int | None = None) -> np.ndarray:
     """out = g * [slope, 1][bit]: g where the pre-activation was >= 0 (the
     derivative at 0 is 1), else slope*g, bit for bit, because g*1 = g.
     `out` may be g itself.
+
+    g and out are either the (N, C, M) flat planes the bits were packed
+    over (rw is then ignored), or (N, C, H, W) maps whose rows are the
+    first W columns of the planes' H rows, rw wide (W when rw is None).
 
     The factor is built as a bit pattern, bit * (bits(1) - bits(slope)) +
     bits(slope) in the unsigned type of g's width (wrapping, so exact for
@@ -679,36 +686,43 @@ def _leaky_grad(g: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     planes (at most `TAP_BLOCK_BYTES`, or one plane) at a time, so no
     full-size temporary is built.
     """
-    n, c, h, w = g.shape
+    n, c = g.shape[:2]
+    h, w = g.shape[2:] if g.ndim == 4 else (1, g.shape[2])
+    rw = w if g.ndim == 3 or rw is None else rw
+    m = h * rw
     one, slope = np.array([1, LEAKY_SLOPE], g.dtype).view(f"u{g.itemsize}")
     rise = np.subtract(one, slope, dtype=one.dtype)  # wraps where slope > 1
-    step = max(1, TAP_BLOCK_BYTES // (h * w * g.itemsize))
-    factor = np.empty((min(step, c), h, w), one.dtype)
+    step = max(1, TAP_BLOCK_BYTES // (m * g.itemsize))
+    factor = np.empty((min(step, c), m), one.dtype)
     for i in range(n):
         for lo in range(0, c, step):
             blk = (i, slice(lo, lo + step))
-            sel = np.unpackbits(bits[blk], axis=-1, count=w)
+            sel = np.unpackbits(bits[blk], axis=-1, count=m)
             f = factor[: len(sel)]
             np.multiply(sel, rise, out=f)
             f += slope
-            np.multiply(g[blk], f.view(g.dtype), out=out[blk])
+            f = f.view(g.dtype)
+            if g.ndim == 4:
+                f = f.reshape(len(sel), h, rw)[..., :w]
+            np.multiply(g[blk], f, out=out[blk])
     return out
 
 
 def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
                    b: Tensor | None, leaky: bool, operand, input_grad,
-                   weight_grad) -> Tensor:
+                   weight_grad, planes=None) -> Tensor:
     """Add the bias and optionally apply leaky, in place, and record the op.
 
     `y` is the core's (N, O, oH, rw) result, rows rw >= ow wide, which the
     op owns; each channel plane is one contiguous run.  The bias add and
     the activation pass over those flat planes, the leaky mask is packed
-    along the rw-wide rows, and the rw - ow wrap columns are zeroed last.
+    along each of them, and the rw - ow wrap columns are zeroed last.
     The output's data is the (N, O, oH, ow) view.
 
-    The backward masks the output gradient in place by the leaky mask and
-    hands it to `operand`, which returns the input and weight gradients'
-    operands, built once.  The gradient is dropped once the bias gradient
+    The backward masks the output gradient in place by the leaky mask,
+    over `planes(g)`, the gradient's flat (N, O, oH*rw) planes in its
+    buffer, when given, else over g itself.  It hands g to `operand`,
+    which returns the input and weight gradients' operands, built once.  The gradient is dropped once the bias gradient
     has summed it.  `input_grad` and `weight_grad` are the core's adjoints
     on those operands; each of the inputs `xs` takes its own channel range
     of the input gradient, unless `input_grad` returns None, having stored
@@ -728,15 +742,16 @@ def _conv_epilogue(y: np.ndarray, ow: int, xs: tuple[Tensor, ...], w: Tensor,
         flat += b.data.reshape(1, oc, 1)
     bits = None
     if leaky:
-        bits = _leaky_planes(flat, rw, any(p.requires_grad for p in parents))
+        bits = _leaky_planes(flat, any(p.requires_grad for p in parents))
     if rw > ow:
         y[..., ow:] = 0
 
     def bwd(g):
         nonlocal bits, weight_grad
         if bits is not None:
-            _leaky_grad(g, bits, g)
-            bits = None
+            masked = g if planes is None else planes(g)
+            _leaky_grad(masked, bits, masked, rw)
+            bits = masked = None
         dx_op, dw_op = operand(g)
         if br is not None and br.requires_grad:
             accumulate_grad(br, g.sum(axis=(0, 2, 3)).reshape(br.shape))
@@ -857,6 +872,7 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor | None = None,
     out = _conv_epilogue(
         core, ow, xs, w, b, leaky, operand, input_grad,
         lambda grid: _conv_weight_grad(lowered(), grid, wp, (kh, kw), stride),
+        planes=lambda g: operand(g)[1],  # the grid: the core's rows are wp wide
     )
     out._layout = ((h, wd), (kh, kw), stride, padding)
     if out._record is not None:
@@ -970,7 +986,7 @@ def leaky_relu(x: Tensor) -> Tensor:
     """x for x >= 0 else LEAKY_SLOPE*x; the derivative at 0 is defined as 1."""
     y = np.array(x.data, order="C")
     n, c, h, w = y.shape
-    bits = _leaky_planes(y.reshape(n, c, h * w), w, x.requires_grad)
+    bits = _leaky_planes(y.reshape(n, c, h * w), x.requires_grad)
     xr = record_of(x)
 
     def bwd(g):

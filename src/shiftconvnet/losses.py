@@ -34,11 +34,21 @@ class LossConfig:
 
 
 def _smooth_l1_parts(x: np.ndarray):
-    """(smooth-L1 of x, its derivative), elementwise."""
-    a = np.abs(x)
-    quad = a < 1
+    """(smooth-L1 of x, its derivative), elementwise, in two fresh arrays.
+
+    The selects write into buffers already made: 0.5*x*x over |x| - 0.5
+    where |x| < 1, and x over sign(x) in the same places.
+    """
+    err = np.abs(x)
+    quad = err < 1
     half = x.dtype.type(0.5)
-    return np.where(quad, half * x * x, a - half), np.where(quad, x, np.sign(x))
+    sq = np.multiply(half, x)
+    sq *= x
+    err -= half
+    np.copyto(err, sq, where=quad)
+    deriv = np.sign(x, out=sq)
+    np.copyto(deriv, x, where=quad)
+    return err, deriv
 
 
 def smooth_l1(x: Tensor) -> Tensor:
@@ -113,9 +123,12 @@ def _stage_loss(terms, weights, decay: float) -> Tensor:
     total, parts = None, []
     for pred, gt, what, kernel, coef in terms:
         target, mask, count = _as_target(pred, gt, what)
-        err, deriv = kernel(pred.data - target)
+        # the difference overwrites the target, and a kernel may overwrite it
+        err, deriv = kernel(np.subtract(pred.data, target, out=target))
+        del target
         coef, inv = dtype.type(coef), dtype.type(1.0 / count)
-        term = (err * mask).sum(dtype=dtype) * inv * coef
+        err *= mask
+        term = err.sum(dtype=dtype) * inv * coef
         total = term if total is None else total + term
         parts.append((record_of(pred), coef, inv, mask, deriv))
     if decay != 0:
@@ -125,7 +138,9 @@ def _stage_loss(terms, weights, decay: float) -> Tensor:
 
     def bwd(g):
         for pred, coef, inv, mask, deriv in parts:
-            accumulate_grad(pred, (g * coef * inv * mask) * deriv)
+            scaled = g * coef * inv * mask
+            scaled *= deriv
+            accumulate_grad(pred, scaled)
         for w, wa in saved:
             accumulate_grad(w, (g * 2 * decay) * wa)
 
@@ -149,7 +164,7 @@ def loss2(p_f: Tensor, gt: np.ndarray, p_s: Tensor, gt_small: np.ndarray,
     # d|x|/dx is sign(x), 0 at x = 0
     return _stage_loss([(p_f, gt, "loss2 final", _smooth_l1_parts, 1.0),
                         (p_s, gt_small, "loss2 small",
-                         lambda d: (np.abs(d), np.sign(d)), cfg.alpha2)],
+                         lambda d: (np.abs(d), np.sign(d, out=d)), cfg.alpha2)],
                        weights, cfg.beta2)
 
 

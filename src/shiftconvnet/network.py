@@ -98,21 +98,18 @@ class NetworkConfig:
 
 @dataclass
 class ForwardOutputs:
-    """Disparity maps plus the intermediates tests want to inspect.
+    """The three disparity maps of a forward, and nothing it computed on the way.
 
     `coarse_disp` and `refined_disp` are (N, 1, H, W); `small_disp` is
-    (N, 1, H/s, W/s) in small-map pixel units.
+    (N, 1, H/s, W/s) in small-map pixel units.  `refined_disp` is None when
+    the forward skips refinement.  The stages' intermediate values are the
+    stage methods' results (`feature_extract`, `build_cost_volume`,
+    `encode`, `decode`); a forward keeps none of them.
     """
 
     coarse_disp: Tensor
     small_disp: Tensor
     refined_disp: Tensor | None
-    left_feat: Tensor
-    right_feat: Tensor
-    feat_skips: tuple
-    cost_volume: Tensor
-    encoder_skips: tuple
-    bottleneck: Tensor
 
 
 # --- config <-> flat scalars, for embedding in checkpoints ----------------
@@ -402,6 +399,18 @@ class ShiftConvNet:
 
     def forward(self, left: Tensor, right: Tensor,
                 refine: bool | None = None) -> ForwardOutputs:
+        """The disparity maps of a stereo pair, refined when `refine` (by
+        default `config.refine_enabled`) says so.
+
+        Each stage's outputs are dropped as soon as the last stage that
+        reads them has run: the right tower's features once the cost volume
+        is built, the cost volume and the left features once `encode` has
+        run, the bottleneck and every skip once `decode` has.  No name is
+        bound to the decoder's final map, which only `head.coarse` reads,
+        inside `decode`.  With gradients on, each backward closure holds
+        the values it reads until it runs; without them, the forward frees
+        each value once its last reader has run.
+        """
         if left.shape != right.shape:
             raise ContractViolation(
                 f"stereo pair shape mismatch: {tuple(left.shape)} vs "
@@ -414,24 +423,15 @@ class ShiftConvNet:
             )
         do_refine = self.config.refine_enabled if refine is None else refine
 
-        left_feat, l_half, l_quarter = self.feature_extract(left)
-        right_feat, _, _ = self.feature_extract(right)
-        cost = self.build_cost_volume(left_feat, right_feat)
+        left_feat, half, quarter = self.feature_extract(left)
+        cost = self.build_cost_volume(left_feat, self.feature_extract(right)[0])
         bottleneck, enc_skips = self.encode(cost, left_feat)
-        _, coarse, small = self.decode(bottleneck, enc_skips,
-                                       (l_quarter, l_half), left)
+        # encode reads these last; the /4 skip `quarter` is left_feat too
+        del cost, left_feat
+        coarse, small = self.decode(bottleneck, enc_skips, (quarter, half), left)[1:]
+        del bottleneck, enc_skips, quarter, half  # decode is their last reader
         refined = self.refine(coarse, small, left, right) if do_refine else None
-        return ForwardOutputs(
-            coarse_disp=coarse,
-            small_disp=small,
-            refined_disp=refined,
-            left_feat=left_feat,
-            right_feat=right_feat,
-            feat_skips=(l_quarter, l_half),
-            cost_volume=cost,
-            encoder_skips=enc_skips,
-            bottleneck=bottleneck,
-        )
+        return ForwardOutputs(coarse, small, refined)
 
 
 def desk_config(**overrides) -> NetworkConfig:

@@ -96,14 +96,20 @@ class Adam:
         self.t = {n: 0 for n in params}
 
     def step(self, lr: float, active=None):
+        """Update every active parameter that has a gradient.
+
+        Every gradient is checked before any update, so a `NumericalError`
+        (naming the first non-finite parameter in sorted order) leaves the
+        parameters, moments and step counts as they were.
+        """
         names = sorted(self.params) if active is None else sorted(active)
-        for name in names:
-            p = self.params[name]
-            g = p.grad
-            if g is None:
-                continue
+        grads = [(name, self.params[name].grad) for name in names
+                 if self.params[name].grad is not None]
+        for name, g in grads:
             if not np.all(np.isfinite(g)):
                 raise NumericalError(f"non-finite gradient in parameter {name!r}")
+        for name, g in grads:
+            p = self.params[name]
             t = self.t[name] + 1
             self.t[name] = t
             self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g

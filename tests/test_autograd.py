@@ -584,10 +584,17 @@ def test_leaky_grad_matches_the_select_on_special_values(dtype):
     g = rng.choice(np.array(special, dtype), size=(2, 3, 5, 11))
     mask = rng.random(g.shape) < 0.5
     want = np.where(mask, g, dtype(LEAKY_SLOPE) * g)
-    bits = np.packbits(mask, axis=-1)
+    bits = np.packbits(mask.reshape(2, 3, -1), axis=-1)  # over each flat plane
     got = _leaky_grad(g, bits, np.empty_like(g))
     assert got.tobytes() == want.tobytes()
-    assert _leaky_grad(g, bits, g) is g and g.tobytes() == want.tobytes()
+    # g's rows as the first 11 columns of planes whose rows are 13 wide
+    wide = rng.random((2, 3, 5, 13)) < 0.5
+    wide[..., :11] = mask
+    wide_bits = np.packbits(wide.reshape(2, 3, -1), axis=-1)
+    got = _leaky_grad(g, wide_bits, np.empty_like(g), rw=13)
+    assert got.tobytes() == want.tobytes()
+    flat = g.reshape(2, 3, -1)
+    assert _leaky_grad(flat, bits, flat) is flat and g.tobytes() == want.tobytes()
 
 
 def _off_kink(op, x0, w, b, **kw):

@@ -17,15 +17,20 @@ _spec.loader.exec_module(backward_memory)
 def test_tiny_step_reports_every_closure(capsys):
     assert backward_memory.main(["64", "128", "--config", "tiny"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    first = re.fullmatch(r"forward peak: ([\d.]+) MB in (\S+)", lines[0])
+    free = re.fullmatch(r"no-grad forward peak: ([\d.]+) MB in (\S+)", lines[0])
+    # a forward without gradients peaks in a network stage or the glue
+    assert free[2] in (*backward_memory.STAGES, "forward")
+    first = re.fullmatch(r"forward peak: ([\d.]+) MB in (\S+)", lines[1])
     forward_peak = float(first[1])
+    # it holds no graph, so it peaks below the step's forward
+    assert 0 < float(free[1]) < forward_peak
     # where the forward peaks: a network stage, the glue between, or the loss
     assert first[2] in (*backward_memory.STAGES, "setup", "forward", "loss")
-    start = float(re.fullmatch(r"backward start: ([\d.]+) MB", lines[1])[1])
+    start = float(re.fullmatch(r"backward start: ([\d.]+) MB", lines[2])[1])
     assert forward_peak >= start
     # one (name, before, peak, after) row per closure, from the loss back
     # to the first feature conv
-    rows = [line.split() for line in lines[3:-2]]
+    rows = [line.split() for line in lines[4:-2]]
     names = [r[0] for r in rows]
     assert names[0] == "_stage_loss"
     for name in ("refine.c3", "refine.c2", "refine.c1", "refine.match", "add",
@@ -46,7 +51,7 @@ def test_tiny_step_reports_every_closure(capsys):
 
 
 def test_after_is_read_once_the_closure_is_released():
-    _, _, rows = backward_memory.measure("tiny", 64, 128)
+    rows = backward_memory.measure("tiny", 64, 128)[3]
     # nothing a closure alone held is counted in its `after`: between two
     # closures backward frees only the finished node's wrapper and parent
     # links (a stage loss closure still held keeps 71 kB)

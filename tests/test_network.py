@@ -35,6 +35,17 @@ def image(shape, seed=0, dtype=np.float32):
     return Tensor(rng.uniform(0, 1, size=shape).astype(dtype))
 
 
+def stages(model, left, right):
+    """The values a forward computes on the way, from the stage methods."""
+    left_feat, half, quarter = model.feature_extract(left)
+    right_feat = model.feature_extract(right)[0]
+    cost = model.build_cost_volume(left_feat, right_feat)
+    bottleneck, enc_skips = model.encode(cost, left_feat)
+    return dict(left_feat=left_feat, right_feat=right_feat,
+                feat_skips=(quarter, half), cost_volume=cost,
+                encoder_skips=enc_skips, bottleneck=bottleneck)
+
+
 def squared_total(out):
     total = sum_all(mul(out.coarse_disp, out.coarse_disp))
     total = add(total, sum_all(mul(out.small_disp, out.small_disp)))
@@ -158,12 +169,13 @@ def test_forward_shape_closure_desk():
     assert out.coarse_disp.shape == (2, 1, 64, 128)
     assert out.refined_disp.shape == (2, 1, 64, 128)
     assert out.small_disp.shape == (2, 1, 16, 32)
-    assert out.left_feat.shape == (2, 16, 16, 32)
-    assert out.cost_volume.shape == (2, 136, 16, 32)
-    assert out.bottleneck.shape == (2, 32, 1, 2)
-    assert [s.shape[2:] for s in out.encoder_skips] == [(8, 16), (4, 8), (2, 4)]
-    assert out.feat_skips[0].shape == (2, 16, 16, 32)   # /4
-    assert out.feat_skips[1].shape == (2, 16, 32, 64)   # /2
+    mid = stages(model, left, right)
+    assert mid["left_feat"].shape == (2, 16, 16, 32)
+    assert mid["cost_volume"].shape == (2, 136, 16, 32)
+    assert mid["bottleneck"].shape == (2, 32, 1, 2)
+    assert [s.shape[2:] for s in mid["encoder_skips"]] == [(8, 16), (4, 8), (2, 4)]
+    assert mid["feat_skips"][0].shape == (2, 16, 16, 32)   # /4
+    assert mid["feat_skips"][1].shape == (2, 16, 32, 64)   # /2
 
 
 def test_forward_small_scale_variants():
@@ -177,9 +189,9 @@ def test_forward_small_scale_variants():
 
 def test_forward_correlation_cost_volume():
     model = ShiftConvNet(desk_config(cost_volume=CORRELATION), seed=0)
-    out = model.forward(image((1, 1, 64, 64), seed=5),
-                        image((1, 1, 64, 64), seed=6))
-    assert out.cost_volume.shape == (1, 9, 16, 16)
+    left, right = image((1, 1, 64, 64), seed=5), image((1, 1, 64, 64), seed=6)
+    out = model.forward(left, right)
+    assert stages(model, left, right)["cost_volume"].shape == (1, 9, 16, 16)
     assert out.coarse_disp.shape == (1, 1, 64, 64)
 
 
@@ -212,20 +224,21 @@ def test_refine_flag_precedence():
 def test_left_branch_does_not_see_right_image():
     model = ShiftConvNet(desk_config(), seed=0)
     left = image((1, 1, 64, 64), seed=9)
-    out_a = model.forward(left, image((1, 1, 64, 64), seed=10))
-    out_b = model.forward(left, image((1, 1, 64, 64), seed=11))
-    np.testing.assert_array_equal(out_a.left_feat.data, out_b.left_feat.data)
-    for sa, sb in zip(out_a.feat_skips, out_b.feat_skips):
+    right_a, right_b = image((1, 1, 64, 64), seed=10), image((1, 1, 64, 64), seed=11)
+    mid_a, mid_b = stages(model, left, right_a), stages(model, left, right_b)
+    np.testing.assert_array_equal(mid_a["left_feat"].data, mid_b["left_feat"].data)
+    for sa, sb in zip(mid_a["feat_skips"], mid_b["feat_skips"]):
         np.testing.assert_array_equal(sa.data, sb.data)
-    assert not np.array_equal(out_a.right_feat.data, out_b.right_feat.data)
+    assert not np.array_equal(mid_a["right_feat"].data, mid_b["right_feat"].data)
+    out_a, out_b = model.forward(left, right_a), model.forward(left, right_b)
     assert not np.array_equal(out_a.coarse_disp.data, out_b.coarse_disp.data)
 
 
 def test_feature_tower_weights_are_shared():
     model = ShiftConvNet(desk_config(), seed=0)
     same = image((1, 1, 64, 64), seed=12)
-    out = model.forward(same, same)
-    np.testing.assert_array_equal(out.left_feat.data, out.right_feat.data)
+    mid = stages(model, same, same)
+    np.testing.assert_array_equal(mid["left_feat"].data, mid["right_feat"].data)
 
 
 def test_zeroed_refine_output_layer_gives_zero_refined_map():
@@ -289,6 +302,14 @@ def test_a_stage2_graph_keeps_only_the_values_a_backward_reads(monkeypatch):
             [args[0]] if isinstance(args[0], Tensor) else args[0]))
 
     model = ShiftConvNet(tiny_config(), seed=0)
+    towers, real_tower = [], model.feature_extract
+
+    def feature_extract(image):  # weakrefs to each tower's /2 skip
+        feats = real_tower(image)
+        towers.append(weakref.ref(_owner(feats[1])))
+        return feats
+
+    monkeypatch.setattr(model, "feature_extract", feature_extract)
     pair = gen_synthetic_pair(SynthConfig(width=128, height=64, seed=1))
     left, right, gt = (a[None] for a in (pair.left, pair.right, pair.gt_disp))
     out = model.forward(Tensor(left), Tensor(right), refine=True)
@@ -306,7 +327,8 @@ def test_a_stage2_graph_keeps_only_the_values_a_backward_reads(monkeypatch):
     assert (len(seen["add"]), len(seen["concat_channels"])) == (5, 3)
     assert alive("add") == [] and alive("concat_channels") == []
     assert len(seen["maxpool2d"]) == 8
-    assert [id(a) for a in alive("maxpool2d")] == [id(_owner(out.feat_skips[1]))]
+    assert len(towers) == 2 and towers[1]() is None
+    assert [id(a) for a in alive("maxpool2d")] == [id(towers[0]())]
     # every conv input stays: its weight gradient reads it
     assert len(alive("conv2d")) == len(seen["conv2d"]) > 20
 
@@ -338,6 +360,44 @@ def test_a_no_grad_refine_frees_the_match_map_once_c1_has_read_it(monkeypatch):
                             image((1, 1, 64, 128), seed=6), refine=True)
     assert out.refined_disp is not None
     assert len(maps) == 1 and dead_at_c2 == [True]
+
+
+def test_a_no_grad_forward_frees_each_stage_output_before_refine_c2(monkeypatch):
+    model = ShiftConvNet(tiny_config(), seed=0)
+    outputs, alive_at_c2 = {}, []
+
+    def watch(stage, pick):
+        real = getattr(model, stage)
+
+        def run(*args):
+            out = real(*args)
+            outputs.setdefault(stage, []).extend(
+                weakref.ref(_owner(t)) for t in pick(out))
+            return out
+
+        monkeypatch.setattr(model, stage, run)
+
+    # both towers' features and /2 skips, the cost volume, the bottleneck
+    # and encoder skips, and the decoder's final map
+    watch("feature_extract", lambda out: out[:2])
+    watch("build_cost_volume", lambda out: [out])
+    watch("encode", lambda out: [out[0], *out[1]])
+    watch("decode", lambda out: out[:1])
+    real_conv = network.conv2d
+
+    def conv(x, w, *args, **kwargs):
+        if w is model.params["refine.c2.w"]:
+            alive_at_c2.append([name for name, refs in outputs.items()
+                               for ref in refs if ref() is not None])
+        return real_conv(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(network, "conv2d", conv)
+    with frozen_params(model):
+        out = model.forward(image((1, 1, 64, 128), seed=5),
+                            image((1, 1, 64, 128), seed=6), refine=True)
+    assert out.refined_disp is not None
+    assert [len(outputs[k]) for k in sorted(outputs)] == [1, 1, 4, 4]
+    assert alive_at_c2 == [[]]
 
 
 def test_batch_forward_matches_single_sample():

@@ -167,6 +167,20 @@ def test_adam_rejects_non_finite_gradient_by_name():
         opt.step(0.1)
 
 
+def test_adam_that_raises_leaves_the_model_and_its_state_untouched():
+    model = ShiftConvNet(tiny_config(), seed=0)
+    opt = stepped_adam(model)
+    rng = np.random.default_rng(8)
+    for p in model.params.values():
+        p.grad = rng.standard_normal(p.shape).astype(np.float32)
+    assert sorted(model.params)[-1] == "shift.clue.w"  # checked last
+    model.params["shift.clue.w"].grad[0, 0, 0, 0] = np.inf
+    before = checkpoint_bytes(model, opt, 0, 2)
+    with pytest.raises(NumericalError, match="shift.clue.w"):
+        opt.step(1e-3)
+    assert checkpoint_bytes(model, opt, 0, 2) == before
+
+
 # ---------------------------------------------------------------------------
 # checkpoint codec
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Where a stage-2 training step's backward holds its memory.
+"""Where a stage-2 training step, and an inference forward, hold their memory.
 
 Run from the repository root:
 
@@ -7,16 +7,20 @@ Run from the repository root:
 
 The tool builds the seed-0 model of the configuration (desk by default),
 one synthetic pair of HEIGHT x WIDTH (384 x 768 by default; both multiples
-of 64) and runs one stage-2 step's forward and loss under `tracemalloc`,
-as `training.train_stage` does, with the model's five network stages
-wrapped to read the traced peak of each stretch of the forward.  It then
-runs `backward` with every closure wrapped.  It prints the forward's
-traced peak and where it falls (a network stage; `forward`, the glue
-between them; `setup`, building the model and the pair; or `loss`), then
-the traced memory when the backward starts (the recorded graph, the
-inputs and the model), then one row per closure: the traced memory
-before it runs, its peak, and the memory after it, read once the closure
-and what only it held are released, as `backward` releases them.  A
+of 64) and, under `tracemalloc`, first runs one refine-on forward of the
+pair with the parameters frozen, as inference does, then one stage-2
+step's forward and loss, as `training.train_stage` does.  The model's
+five network stages are wrapped to read the traced peak of each stretch
+of either forward.  It then runs `backward` with every closure wrapped.
+It prints the no-grad forward's traced peak less the memory traced when
+it starts (the model and the pair), so what the forward itself holds at
+its peak, and where that falls (a network stage, or `forward`, the glue
+between them); then the step's forward peak and where it falls (a
+network stage; `forward`; `setup`, building the model and the pair; or
+`loss`); then the traced memory when the backward starts (the recorded
+graph, the inputs and the model), then one row per closure: the traced
+memory before it runs, its peak, and the memory after it, read once the
+closure and what only it held are released, as `backward` releases them.  A
 closure is named after the one layer whose parameters it reads, else
 after the function that recorded it (the loss reads every weight).  The
 last two lines name the highest backward peak and the step's peak, the
@@ -94,16 +98,28 @@ class _Stretches:
 
         return run
 
+    def restart(self, label: str, peaks: dict | None = None) -> dict:
+        """End the current stretch and start over at `label`, from `peaks`
+        (none by default); returns the peaks so far."""
+        self.enter(label)
+        done, self.peaks = self.peaks, dict(peaks or {})
+        return done
+
     def top(self) -> tuple[int, str]:
         """(peak, label) of the highest stretch, the first on a tie: the
         peak of them all."""
-        label, peak = max(self.peaks.items(), key=lambda item: item[1])
-        return peak, label
+        return _top(self.peaks)
+
+
+def _top(peaks: dict) -> tuple[int, str]:
+    label, peak = max(peaks.items(), key=lambda item: item[1])
+    return peak, label
 
 
 def measure(config: str, height: int, width: int):
-    """((forward peak, where it falls), memory at backward start,
-    [(label, before, peak, after)]), sizes in bytes."""
+    """((no-grad forward peak above the memory held when it starts, where
+    it falls), (step's forward peak, where it falls), memory at backward
+    start, [(label, before, peak, after)]), sizes in bytes."""
     rows: list = []
     tracemalloc.start()
     stretches = _Stretches("setup")
@@ -119,7 +135,14 @@ def measure(config: str, height: int, width: int):
                                        is_disparity=True)
         for stage in STAGES:
             setattr(model, stage, stretches.wrap(getattr(model, stage)))
-        stretches.enter("forward")
+        # the no-grad forward's stretches are read apart from the step's;
+        # its maps are dropped as it returns
+        setup = stretches.restart("forward")
+        held = tracemalloc.get_traced_memory()[0]
+        with training.frozen_params(model):
+            model.forward(autograd.Tensor(left), autograd.Tensor(right), refine=True)
+        peak, where = _top(stretches.restart("forward", setup))
+        no_grad = (peak - held, where)
         out = model.forward(autograd.Tensor(left), autograd.Tensor(right),
                             refine=True)
         stretches.enter("loss")
@@ -135,12 +158,14 @@ def measure(config: str, height: int, width: int):
         autograd.backward(loss)
     finally:
         tracemalloc.stop()
-    return stretches.top(), start, rows
+    return no_grad, stretches.top(), start, rows
 
 
-def report(forward: tuple[int, str], start: int, rows: list) -> str:
+def report(no_grad: tuple[int, str], forward: tuple[int, str], start: int,
+           rows: list) -> str:
     forward_peak, where = forward
-    lines = [f"forward peak: {_mb(forward_peak):.1f} MB in {where}",
+    lines = [f"no-grad forward peak: {_mb(no_grad[0]):.1f} MB in {no_grad[1]}",
+             f"forward peak: {_mb(forward_peak):.1f} MB in {where}",
              f"backward start: {_mb(start):.1f} MB",
              f"{'closure':<24}{'before':>10}{'peak':>10}{'after':>10}"]
     for label, before, peak, after in rows:
